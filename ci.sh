@@ -4,7 +4,8 @@
 #   ./ci.sh
 #
 # Mirrors what the driver enforces: formatting, lint-clean at -D warnings,
-# and the tier-1 suite (release build + the root package's tests).
+# and the tier-1 suite (release build + the root package's tests), then
+# runs every crate's tests across the workspace.
 set -eu
 
 echo "==> cargo fmt --check"
@@ -18,6 +19,9 @@ cargo build --release
 
 echo "==> tier-1: cargo test -q"
 cargo test -q
+
+echo "==> workspace: cargo test -q --workspace"
+cargo test -q --workspace
 
 echo "==> observability smoke: determinism gate + trace check"
 cargo build --release -q -p dimboost-cli -p dimboost-bench

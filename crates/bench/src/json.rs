@@ -1,11 +1,11 @@
 //! A minimal recursive-descent JSON parser.
 //!
-//! The workspace's dependency allowlist has no real serde implementation
-//! (the `serde` crate here is a no-op shim), so the report-diff and
-//! trace-check tools parse their inputs with this ~200-line parser. It
-//! covers the full JSON grammar the repo's own emitters produce (and
-//! standard JSON generally), keeps object keys in document order, and
-//! reports errors with byte offsets.
+//! The workspace has no JSON library, so the report-diff and trace-check
+//! tools parse their inputs with this ~200-line parser. It covers the full
+//! JSON grammar the repo's own emitters produce (and standard JSON
+//! generally), keeps object keys in document order, and reports errors with
+//! byte offsets. Nesting is capped at [`MAX_DEPTH`], so a hostile document
+//! yields an error instead of overflowing the stack.
 
 /// A parsed JSON value. Object members keep their document order (the
 /// canonical-report diff relies on stable iteration).
@@ -67,10 +67,19 @@ impl Json {
     }
 }
 
-/// Parses a complete JSON document (rejects trailing garbage).
+/// Deepest array/object nesting [`parse`] accepts. The repo's reports nest
+/// a handful of levels; the cap only exists to bound recursion.
+pub const MAX_DEPTH: usize = 512;
+
+/// Parses a complete JSON document (rejects trailing garbage and nesting
+/// deeper than [`MAX_DEPTH`]).
 pub fn parse(text: &str) -> Result<Json, String> {
     let bytes = text.as_bytes();
-    let mut p = Parser { bytes, pos: 0 };
+    let mut p = Parser {
+        bytes,
+        pos: 0,
+        depth: 0,
+    };
     p.skip_ws();
     let value = p.value()?;
     p.skip_ws();
@@ -83,6 +92,8 @@ pub fn parse(text: &str) -> Result<Json, String> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -112,8 +123,22 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(c @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(format!(
+                        "nesting deeper than {MAX_DEPTH} at byte {}",
+                        self.pos
+                    ));
+                }
+                self.depth += 1;
+                let value = if c == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                value
+            }
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -313,6 +338,18 @@ mod tests {
         for bad in ["", "{", "[1,", "{\"a\" 1}", "tru", "1 2", "\"x", "{\"a\":}"] {
             assert!(parse(bad).is_err(), "should reject {bad:?}");
         }
+    }
+
+    #[test]
+    fn rejects_nesting_beyond_the_depth_cap() {
+        let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        let err = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nesting deeper than 512"), "{err}");
+        // Deep enough to overflow the stack without the cap.
+        assert!(parse(&nested(200_000)).is_err());
+        let objects = "{\"a\":".repeat(200_000) + "1" + &"}".repeat(200_000);
+        assert!(parse(&objects).is_err());
     }
 
     #[test]

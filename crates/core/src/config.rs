@@ -1,8 +1,7 @@
 use dimboost_ps::SplitParams;
-use serde::{Deserialize, Serialize};
 
 /// Which loss function drives the boosting objective (Section 2.2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LossKind {
     /// Logistic loss for binary classification (labels in {0, 1}).
     Logistic,
@@ -31,7 +30,7 @@ impl LossKind {
 /// The optimization toggles evaluated one by one in Table 3. Each flag turns
 /// one of the paper's proposed techniques on; with everything off the system
 /// degenerates to the "basic algorithm" baseline of Section 7.2.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Optimizations {
     /// Sparsity-aware histogram construction (Section 5.1, Algorithm 2).
     /// Off: dense enumeration of every feature of every instance.
@@ -142,7 +141,7 @@ impl Default for Optimizations {
 /// (Section 7.1): `T` trees, maximal depth `d`, `K` split candidates,
 /// feature sampling ratio `σ`, batch size `b`, compression bits `r`,
 /// threads `q`, and learning rate `η`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GbdtConfig {
     /// Number of trees `T`.
     pub num_trees: usize,

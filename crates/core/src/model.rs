@@ -1,14 +1,13 @@
 //! The trained ensemble: `ŷ_i = Σ_t η·f_t(x_i)` (Equation 1).
 
 use dimboost_data::{Dataset, RowView};
-use serde::{Deserialize, Serialize};
 
 use crate::config::LossKind;
 use crate::loss::loss_for;
 use crate::tree::Tree;
 
 /// A trained GBDT model: `T` regression trees combined with shrinkage `η`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GbdtModel {
     trees: Vec<Tree>,
     learning_rate: f32,

@@ -19,6 +19,7 @@
 
 use std::time::Instant;
 
+use dimboost_simnet::json::{num, push_field, push_percentiles};
 use dimboost_simnet::registry::MetricExport;
 use dimboost_simnet::wire::SparseWireStats;
 use dimboost_simnet::{
@@ -401,7 +402,7 @@ impl RunReport {
         push_field(&mut out, "workers", &self.workers.to_string(), true);
         push_field(&mut out, "servers", &self.servers.to_string(), false);
         if timings {
-            push_field(&mut out, "compute_secs", &fmt_f64(self.compute_secs), false);
+            push_field(&mut out, "compute_secs", &num(self.compute_secs), false);
         }
         out.push_str(",\"comm\":");
         push_comm(&mut out, &self.comm);
@@ -416,25 +417,25 @@ impl RunReport {
                 push_field(
                     &mut out,
                     "compute_max_secs",
-                    &fmt_f64(p.compute_max_secs),
+                    &num(p.compute_max_secs),
                     false,
                 );
                 push_field(
                     &mut out,
                     "compute_p50_secs",
-                    &fmt_f64(p.compute_p50_secs),
+                    &num(p.compute_p50_secs),
                     false,
                 );
                 push_field(
                     &mut out,
                     "compute_p99_secs",
-                    &fmt_f64(p.compute_p99_secs),
+                    &num(p.compute_p99_secs),
                     false,
                 );
                 push_field(
                     &mut out,
                     "compute_skew_secs",
-                    &fmt_f64(p.compute_skew_secs),
+                    &num(p.compute_skew_secs),
                     false,
                 );
             }
@@ -450,9 +451,9 @@ impl RunReport {
             out.push('{');
             push_field(&mut out, "round", &r.round.to_string(), true);
             push_field(&mut out, "trees", &r.trees.to_string(), false);
-            push_field(&mut out, "train_loss", &fmt_f64(r.train_loss), false);
+            push_field(&mut out, "train_loss", &num(r.train_loss), false);
             if timings {
-                push_field(&mut out, "compute_secs", &fmt_f64(r.compute_secs), false);
+                push_field(&mut out, "compute_secs", &num(r.compute_secs), false);
             }
             push_field(
                 &mut out,
@@ -466,18 +467,13 @@ impl RunReport {
                 &r.hist_bytes_wire.to_string(),
                 false,
             );
-            push_field(
-                &mut out,
-                "max_quant_scale",
-                &fmt_f32(r.max_quant_scale),
-                false,
-            );
+            push_field(&mut out, "max_quant_scale", &num(r.max_quant_scale), false);
             out.push_str(",\"split_gains\":[");
             for (j, g) in r.split_gains.iter().enumerate() {
                 if j > 0 {
                     out.push(',');
                 }
-                out.push_str(&fmt_f32(*g));
+                out.push_str(&num(*g));
             }
             out.push_str("],\"node_instances\":[");
             for (j, n) in r.node_instances.iter().enumerate() {
@@ -504,29 +500,8 @@ impl RunReport {
             }
             out.push('}');
         }
-        out.push_str("],\"percentiles\":[");
-        let mut first_metric = true;
-        for m in &self.percentiles {
-            if !timings && !m.deterministic {
-                continue;
-            }
-            if !first_metric {
-                out.push(',');
-            }
-            first_metric = false;
-            out.push('{');
-            push_field(&mut out, "name", &format!("\"{}\"", m.name), true);
-            push_field(&mut out, "kind", &format!("\"{}\"", m.kind), false);
-            push_field(&mut out, "count", &m.count.to_string(), false);
-            push_field(&mut out, "value", &fmt_f64(m.value), false);
-            push_field(&mut out, "min", &fmt_f64(m.min), false);
-            push_field(&mut out, "max", &fmt_f64(m.max), false);
-            push_field(&mut out, "p50", &fmt_f64(m.p50), false);
-            push_field(&mut out, "p95", &fmt_f64(m.p95), false);
-            push_field(&mut out, "p99", &fmt_f64(m.p99), false);
-            out.push('}');
-        }
         out.push(']');
+        push_percentiles(&mut out, &self.percentiles, timings);
         if let Some(f) = &self.faults {
             out.push_str(",\"faults\":{");
             push_field(&mut out, "plan_seed", &f.plan_seed.to_string(), true);
@@ -546,17 +521,12 @@ impl RunReport {
                 &f.forced_deliveries.to_string(),
                 false,
             );
-            push_field(&mut out, "backoff_secs", &fmt_f64(f.backoff_secs), false);
-            push_field(
-                &mut out,
-                "straggler_secs",
-                &fmt_f64(f.straggler_secs),
-                false,
-            );
+            push_field(&mut out, "backoff_secs", &num(f.backoff_secs), false);
+            push_field(&mut out, "straggler_secs", &num(f.straggler_secs), false);
             push_field(
                 &mut out,
                 "outage_wait_secs",
-                &fmt_f64(f.outage_wait_secs),
+                &num(f.outage_wait_secs),
                 false,
             );
             push_field(&mut out, "crashes", &f.crashes.to_string(), false);
@@ -587,13 +557,13 @@ impl RunReport {
                 &m.stale_rejects.to_string(),
                 false,
             );
-            push_field(&mut out, "handoff_secs", &fmt_f64(m.handoff_secs), false);
-            push_field(&mut out, "reshard_secs", &fmt_f64(m.reshard_secs), false);
-            push_field(&mut out, "elastic_secs", &fmt_f64(m.elastic_secs), false);
+            push_field(&mut out, "handoff_secs", &num(m.handoff_secs), false);
+            push_field(&mut out, "reshard_secs", &num(m.reshard_secs), false);
+            push_field(&mut out, "elastic_secs", &num(m.elastic_secs), false);
             push_field(
                 &mut out,
                 "speculation_saved_secs",
-                &fmt_f64(m.speculation_saved_secs),
+                &num(m.speculation_saved_secs),
                 false,
             );
             out.push('}');
@@ -602,7 +572,7 @@ impl RunReport {
             out.push_str(",\"sparsity\":{");
             push_field(&mut out, "raw_bytes", &s.raw_bytes.to_string(), true);
             push_field(&mut out, "wire_bytes", &s.wire_bytes.to_string(), false);
-            push_field(&mut out, "reduction_x", &fmt_f64(s.reduction_x), false);
+            push_field(&mut out, "reduction_x", &num(s.reduction_x), false);
             out.push_str(",\"frames\":");
             push_sparse_frames(&mut out, &s.frames);
             out.push('}');
@@ -691,41 +661,13 @@ fn worker_percentiles(secs: &[f64]) -> (f64, f64) {
     (hist.quantile(0.50), hist.quantile(0.99))
 }
 
-fn push_field(out: &mut String, key: &str, value: &str, first: bool) {
-    if !first {
-        out.push(',');
-    }
-    out.push('"');
-    out.push_str(key);
-    out.push_str("\":");
-    out.push_str(value);
-}
-
 fn push_comm(out: &mut String, c: &CommStats) {
     out.push_str(&format!(
         "{{\"bytes\":{},\"packages\":{},\"sim_time_secs\":{}}}",
         c.bytes,
         c.packages,
-        fmt_f64(c.sim_time.seconds())
+        num(c.sim_time.seconds())
     ));
-}
-
-/// Shortest round-trip decimal form — `f64` Display is deterministic and
-/// platform-independent, which the canonical JSON relies on.
-fn fmt_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".into()
-    }
-}
-
-fn fmt_f32(v: f32) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".into()
-    }
 }
 
 #[cfg(test)]

@@ -3,10 +3,9 @@
 //! task scheduler, Figure 10, indexes nodes the same way).
 
 use dimboost_data::RowView;
-use serde::{Deserialize, Serialize};
 
 /// One slot of the tree's node array.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Node {
     /// Not (yet) part of the tree.
     Unused,
@@ -31,7 +30,7 @@ pub enum Node {
 }
 
 /// A single regression tree with at most `2^(max_depth+1) − 1` nodes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Tree {
     nodes: Vec<Node>,
     max_depth: usize,

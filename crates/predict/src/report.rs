@@ -13,6 +13,7 @@
 use std::time::Instant;
 
 use dimboost_data::Dataset;
+use dimboost_simnet::json::{num, push_field, push_percentiles};
 use dimboost_simnet::{MetricExport, MetricsRegistry};
 
 use crate::compiled::CompiledModel;
@@ -171,31 +172,10 @@ impl ServingReport {
             false,
         );
         if timings {
-            push_field(&mut out, "compute_secs", &fmt_f64(self.compute_secs), false);
+            push_field(&mut out, "compute_secs", &num(self.compute_secs), false);
         }
-        out.push_str(",\"percentiles\":[");
-        let mut first = true;
-        for m in &self.percentiles {
-            if !timings && !m.deterministic {
-                continue;
-            }
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push('{');
-            push_field(&mut out, "name", &format!("\"{}\"", m.name), true);
-            push_field(&mut out, "kind", &format!("\"{}\"", m.kind), false);
-            push_field(&mut out, "count", &m.count.to_string(), false);
-            push_field(&mut out, "value", &fmt_f64(m.value), false);
-            push_field(&mut out, "min", &fmt_f64(m.min), false);
-            push_field(&mut out, "max", &fmt_f64(m.max), false);
-            push_field(&mut out, "p50", &fmt_f64(m.p50), false);
-            push_field(&mut out, "p95", &fmt_f64(m.p95), false);
-            push_field(&mut out, "p99", &fmt_f64(m.p99), false);
-            out.push('}');
-        }
-        out.push_str("]}");
+        push_percentiles(&mut out, &self.percentiles, timings);
+        out.push('}');
         out
     }
 
@@ -224,25 +204,6 @@ impl ServingReport {
             self.compute_secs,
             self.score_checksum,
         )
-    }
-}
-
-fn push_field(out: &mut String, key: &str, value: &str, first: bool) {
-    if !first {
-        out.push(',');
-    }
-    out.push('"');
-    out.push_str(key);
-    out.push_str("\":");
-    out.push_str(value);
-}
-
-/// Shortest round-trip decimal form (`f64` Display), as in `RunReport`.
-fn fmt_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".into()
     }
 }
 

@@ -1,7 +1,5 @@
 use std::ops::Range;
 
-use serde::{Deserialize, Serialize};
-
 /// The flat layout of one `GradHist` row (Figure 6).
 ///
 /// A histogram row concatenates, feature by feature, the first-order bucket
@@ -10,7 +8,7 @@ use serde::{Deserialize, Serialize};
 /// because duplicate split candidates collapse). The layout maps features to
 /// element offsets so the parameter server can shard rows by feature range
 /// and scan shards without any side tables.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HistogramLayout {
     /// `offsets[f]` is the element offset of feature `f`'s G block;
     /// `offsets[num_features]` is the total row length.

@@ -10,7 +10,6 @@
 //! paper's experiments.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::HistogramLayout;
 
@@ -19,7 +18,7 @@ use crate::HistogramLayout;
 /// reports the honest on-the-wire size with codes packed at `d` bits each
 /// (`⌈len·d/8⌉` bytes — e.g. two codes per byte for `d = 4`, one for
 /// `d = 8`), plus the 8-byte scale+length header.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QuantizedHistogram {
     bits: u8,
     scale: f32,
@@ -195,7 +194,7 @@ pub fn quantize<R: Rng + ?Sized>(values: &[f32], bits: u8, rng: &mut R) -> Quant
 /// full precision. Per feature the overhead is two scales and two zero
 /// values (16 bytes), preserving a ~`32/d`-ish compression ratio while
 /// keeping the small buckets' signal.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QuantizedRow {
     bits: u8,
     /// Per block (2 per feature: G then H): the quantization scale.

@@ -1,7 +1,5 @@
 use std::collections::{BTreeMap, HashMap, HashSet};
-use std::sync::Arc;
-
-use parking_lot::{Mutex, RwLock};
+use std::sync::{Arc, Mutex, RwLock};
 
 use dimboost_simnet::fault::{Fate, FaultSession, MAX_ATTEMPTS};
 use dimboost_simnet::wire::{self, SparseWireStats};
@@ -193,7 +191,7 @@ impl ParameterServer {
     /// session's fault plan (drops, duplications, outages), recovered by
     /// the retry loop in [`ParameterServer::resilient`].
     pub fn attach_faults(&self, session: Arc<FaultSession>) {
-        *self.faults.lock() = Some(session);
+        *self.faults.lock().unwrap() = Some(session);
     }
 
     /// First-apply gate: returns `true` exactly once per
@@ -201,14 +199,14 @@ impl ParameterServer {
     /// never reused within an epoch, so a retried or duplicated message can
     /// never merge twice.
     fn mark_applied(&self, epoch: u64, worker: u32, seq: u64) -> bool {
-        self.applied.lock().insert((epoch, worker, seq))
+        self.applied.lock().unwrap().insert((epoch, worker, seq))
     }
 
     /// Advances the membership epoch the server stamps deduplication state
     /// with. Called by the trainer after every scripted join/leave; `epoch`
     /// must be monotone (a smaller value is ignored).
     pub fn set_epoch(&self, epoch: u64) {
-        let mut current = self.epoch.lock();
+        let mut current = self.epoch.lock().unwrap();
         if epoch > *current {
             *current = epoch;
         }
@@ -216,7 +214,7 @@ impl ParameterServer {
 
     /// The membership epoch the server currently stamps operations with.
     pub fn current_epoch(&self) -> u64 {
-        *self.epoch.lock()
+        *self.epoch.lock().unwrap()
     }
 
     /// Runs one logical worker→server operation under the fault plan:
@@ -232,7 +230,7 @@ impl ParameterServer {
     /// caching the reply per sequence id and resending it on retry, so a
     /// pull is never recomputed or recharged either.
     fn resilient<R>(&self, phase: Phase, apply: impl FnOnce() -> R) -> R {
-        let session = self.faults.lock().clone();
+        let session = self.faults.lock().unwrap().clone();
         let (session, worker) = match session {
             Some(s) => match s.current_worker() {
                 Some(w) if s.plan().perturbs_messages() => (s, w),
@@ -339,7 +337,7 @@ impl ParameterServer {
 
     fn apply_push_sketches(&self, mut locals: Vec<GkSketch>) {
         let bytes: usize = locals.iter_mut().map(|s| s.wire_bytes()).sum();
-        let mut merged = self.sketches.lock();
+        let mut merged = self.sketches.lock().unwrap();
         if merged.is_empty() {
             *merged = locals;
         } else {
@@ -358,7 +356,7 @@ impl ParameterServer {
 
     /// PULL_SKETCH: returns the merged per-feature sketches.
     pub fn pull_sketches(&self) -> Vec<GkSketch> {
-        let mut merged = self.sketches.lock();
+        let mut merged = self.sketches.lock().unwrap();
         let bytes: usize = merged.iter_mut().map(|s| s.wire_bytes()).sum();
         self.recorder.record_named(
             Phase::PullSketch,
@@ -381,12 +379,12 @@ impl ParameterServer {
             1,
             SimTime::ZERO,
         );
-        *self.sampled.lock() = features;
+        *self.sampled.lock().unwrap() = features;
     }
 
     /// BUILD_HISTOGRAM: workers pull the sampled feature ids.
     pub fn pull_sampled(&self) -> Vec<u32> {
-        let sampled = self.sampled.lock();
+        let sampled = self.sampled.lock().unwrap();
         self.recorder.record_named(
             Phase::NewTree,
             "pull_sampled",
@@ -410,20 +408,20 @@ impl ParameterServer {
         let partitions = (0..partitioner.num_partitions())
             .map(|_| Mutex::new(PartitionState::default()))
             .collect();
-        *self.hist.write() = Some(HistState {
+        *self.hist.write().unwrap() = Some(HistState {
             layout,
             partitioner,
             partitions,
         });
-        self.decisions.lock().clear();
+        self.decisions.lock().unwrap().clear();
         // Sequence ids are monotone per worker and never reused, so entries
         // from finished trees can never be hit again — drop them to keep the
         // dedup set O(messages per tree) instead of O(messages per run).
-        self.applied.lock().clear();
+        self.applied.lock().unwrap().clear();
     }
 
     fn with_hist<R>(&self, f: impl FnOnce(&HistState) -> R) -> R {
-        let guard = self.hist.read();
+        let guard = self.hist.read().unwrap();
         let state = guard
             .as_ref()
             .expect("init_tree must be called before histogram ops");
@@ -465,7 +463,7 @@ impl ParameterServer {
         row: &[f32],
     ) -> bool {
         if epoch < self.current_epoch() {
-            if let Some(session) = &*self.faults.lock() {
+            if let Some(session) = &*self.faults.lock().unwrap() {
                 session.on_stale_reject();
             }
             self.recorder.membership_event(
@@ -494,7 +492,7 @@ impl ParameterServer {
                     continue;
                 }
                 let slice = &row[elems.clone()];
-                let mut part = state.partitions[p].lock();
+                let mut part = state.partitions[p].lock().unwrap();
                 let acc = part
                     .merged
                     .entry(node)
@@ -536,7 +534,7 @@ impl ParameterServer {
                 if elems.is_empty() {
                     continue;
                 }
-                let mut part = state.partitions[p].lock();
+                let mut part = state.partitions[p].lock().unwrap();
                 let acc = part
                     .merged
                     .entry(node)
@@ -658,7 +656,7 @@ impl ParameterServer {
     /// second delta for the same key (e.g. a worker owning several logical
     /// stripes pushing twice) accumulates into the staged vector.
     fn stage_delta(partition: &Mutex<PartitionState>, node: u32, stripe: u32, delta: Vec<f32>) {
-        let mut part = partition.lock();
+        let mut part = partition.lock().unwrap();
         match part.staged.entry(node).or_default().entry(stripe) {
             std::collections::btree_map::Entry::Vacant(slot) => {
                 slot.insert(delta);
@@ -690,7 +688,7 @@ impl ParameterServer {
                     continue;
                 }
                 let elems_len = state.layout.elem_range(features.clone()).len();
-                let mut part = state.partitions[p].lock();
+                let mut part = state.partitions[p].lock().unwrap();
                 part.flush(elems_len);
                 let Some(shard) = part.merged.get(&node) else {
                     continue;
@@ -732,7 +730,7 @@ impl ParameterServer {
                 if elems.is_empty() {
                     continue;
                 }
-                let mut part = state.partitions[p].lock();
+                let mut part = state.partitions[p].lock().unwrap();
                 part.flush(elems.len());
                 if let Some(shard) = part.merged.get(&node) {
                     row[elems].copy_from_slice(shard);
@@ -764,7 +762,7 @@ impl ParameterServer {
                 if elems.is_empty() {
                     continue;
                 }
-                let mut part = state.partitions[p].lock();
+                let mut part = state.partitions[p].lock().unwrap();
                 part.flush(elems.len());
                 let mut out = part
                     .merged
@@ -785,7 +783,7 @@ impl ParameterServer {
     pub fn clear_node(&self, node: u32) {
         self.with_hist(|state| {
             for p in &state.partitions {
-                let mut part = p.lock();
+                let mut part = p.lock().unwrap();
                 part.merged.remove(&node);
                 part.staged.remove(&node);
             }
@@ -802,7 +800,10 @@ impl ParameterServer {
     fn apply_publish_decision(&self, decision: SplitDecision) {
         self.recorder
             .record_named(Phase::FindSplit, "publish_decision", 64, 1, SimTime::ZERO);
-        self.decisions.lock().insert(decision.node, decision);
+        self.decisions
+            .lock()
+            .unwrap()
+            .insert(decision.node, decision);
     }
 
     /// SPLIT_TREE: workers pull the decisions for the given nodes.
@@ -811,7 +812,7 @@ impl ParameterServer {
     /// Panics if a requested node has no published decision — a
     /// synchronization bug in the caller.
     pub fn pull_decisions(&self, nodes: &[u32]) -> Vec<SplitDecision> {
-        let map = self.decisions.lock();
+        let map = self.decisions.lock().unwrap();
         self.recorder.record_named(
             Phase::SplitTree,
             "pull_decisions",
@@ -830,7 +831,7 @@ impl ParameterServer {
 
     /// Clears published decisions (layer boundary).
     pub fn clear_decisions(&self) {
-        self.decisions.lock().clear();
+        self.decisions.lock().unwrap().clear();
     }
 }
 

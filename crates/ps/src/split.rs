@@ -9,14 +9,12 @@
 //! `p` per-partition winners, which is exact because the set of local optima
 //! contains the global optimum.
 
-use serde::{Deserialize, Serialize};
-
 use crate::HistogramLayout;
 
 /// Regularization and stopping parameters of the split objective
 /// (Section 2.2): `λ` is the leaf-weight L2 penalty, `γ` the per-leaf
 /// complexity cost subtracted from every gain.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SplitParams {
     /// L2 regularization on leaf weights (λ).
     pub lambda: f64,
@@ -90,7 +88,7 @@ impl SplitParams {
 /// A candidate split produced by the server-side scan. `feature` indexes the
 /// histogram layout (the *sampled* feature space); the worker maps it back
 /// to a global feature id and a threshold value using its candidate tables.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NodeSplit {
     /// Feature index within the layout.
     pub feature: u32,
@@ -131,7 +129,7 @@ impl NodeSplit {
 /// Result of a `pull_split` query: the best split found (if any split beats
 /// the γ-regularized gain threshold) plus the node's total gradient sums,
 /// which the caller needs for leaf weights even when no split survives.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PullSplitResult {
     /// Best split across the queried shard(s), `None` if nothing beats zero
     /// gain.
@@ -145,7 +143,7 @@ pub struct PullSplitResult {
 /// The final, published decision for one tree node (the `SpFeat`/`SpVal`/
 /// `SpGain` parameters of Figure 6, bundled). Pushed by the worker the task
 /// scheduler assigned to the node; pulled by everyone in SPLIT_TREE.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SplitDecision {
     /// Tree-node id this decision belongs to.
     pub node: u32,
@@ -158,7 +156,7 @@ pub struct SplitDecision {
 }
 
 /// A fully-resolved split: global feature id and real-valued threshold.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FinalSplit {
     /// Global feature index.
     pub feature: u32,

@@ -28,6 +28,8 @@
 
 use std::collections::{HashMap, VecDeque};
 
+use dimboost_simnet::json;
+
 use crate::sim::ServeSimConfig;
 
 /// Fixed window count for the timeline (the last window absorbs the
@@ -545,15 +547,6 @@ pub fn analyze_serve_trace(text: &str) -> Result<ServeProfile, ServeAnalyzeError
     })
 }
 
-/// Shortest-round-trip JSON number (non-finite → `null`).
-fn fmt_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
-}
-
 impl ServeProfile {
     /// The canonical `{"kind":"trace_profile","source":"serve_sim"}` JSON
     /// document — byte-identical across reruns, `report_diff`-gateable.
@@ -566,7 +559,7 @@ impl ServeProfile {
         out.push_str(&format!("  \"seed\": {},\n", self.seed));
         out.push_str(&format!("  \"queue_capacity\": {},\n", self.queue_capacity));
         out.push_str(&format!("  \"max_batch\": {},\n", self.max_batch));
-        out.push_str(&format!("  \"slo_secs\": {},\n", fmt_f64(self.slo_secs)));
+        out.push_str(&format!("  \"slo_secs\": {},\n", json::num(self.slo_secs)));
         out.push_str(&format!("  \"events\": {},\n", self.events));
         out.push_str(&format!("  \"arrived\": {},\n", self.arrived));
         out.push_str(&format!("  \"served\": {},\n", self.served));
@@ -577,17 +570,17 @@ impl ServeProfile {
         ));
         out.push_str(&format!("  \"batches\": {},\n", self.batches));
         out.push_str(&format!("  \"swaps\": {},\n", self.swaps));
-        out.push_str(&format!("  \"end_secs\": {},\n", fmt_f64(self.end_secs)));
+        out.push_str(&format!("  \"end_secs\": {},\n", json::num(self.end_secs)));
         out.push_str("  \"latency\": {");
         out.push_str(&format!(
             "\"queue_wait_secs\": {}, \"formation_wait_secs\": {}, \"service_secs\": {}, \
              \"p50_secs\": {}, \"p99_secs\": {}, \"max_secs\": {}",
-            fmt_f64(self.queue_wait_secs),
-            fmt_f64(self.formation_wait_secs),
-            fmt_f64(self.service_secs),
-            fmt_f64(self.latency_p50_secs),
-            fmt_f64(self.latency_p99_secs),
-            fmt_f64(self.latency_max_secs)
+            json::num(self.queue_wait_secs),
+            json::num(self.formation_wait_secs),
+            json::num(self.service_secs),
+            json::num(self.latency_p50_secs),
+            json::num(self.latency_p99_secs),
+            json::num(self.latency_max_secs)
         ));
         out.push_str("},\n");
         out.push_str("  \"slo\": {");
@@ -595,7 +588,7 @@ impl ServeProfile {
             "\"ok\": {}, \"violations\": {}, \"attainment\": {}",
             self.slo_ok,
             self.served - self.slo_ok,
-            fmt_f64(self.slo_attainment)
+            json::num(self.slo_attainment)
         ));
         out.push_str("},\n  \"per_tenant\": [");
         for (i, t) in self.per_tenant.iter().enumerate() {
@@ -610,13 +603,13 @@ impl ServeProfile {
                 t.served,
                 t.shed,
                 t.swaps,
-                fmt_f64(t.queue_wait_secs),
-                fmt_f64(t.formation_wait_secs),
-                fmt_f64(t.service_secs),
+                json::num(t.queue_wait_secs),
+                json::num(t.formation_wait_secs),
+                json::num(t.service_secs),
                 t.slo_ok,
-                fmt_f64(t.latency_p50_secs),
-                fmt_f64(t.latency_p99_secs),
-                fmt_f64(t.latency_max_secs)
+                json::num(t.latency_p50_secs),
+                json::num(t.latency_p99_secs),
+                json::num(t.latency_max_secs)
             ));
         }
         out.push_str("\n  ],\n  \"timeline\": [");
@@ -626,8 +619,8 @@ impl ServeProfile {
                 "    {{\"window\": {}, \"begin_secs\": {}, \"end_secs\": {}, \
                  \"arrived\": {}, \"served\": {}, \"shed\": {}, \"slo_ok\": {}}}",
                 w.window,
-                fmt_f64(w.begin_secs),
-                fmt_f64(w.end_secs),
+                json::num(w.begin_secs),
+                json::num(w.end_secs),
                 w.arrived,
                 w.served,
                 w.shed,

@@ -14,6 +14,7 @@
 //! uses for array-element identity, so a diff of two serving reports lines
 //! tenants up by name rather than by position.
 
+use dimboost_simnet::json::{num, push_field, push_percentiles};
 use dimboost_simnet::MetricExport;
 
 /// FNV-1a 64 offset basis — the checksum of an empty score stream.
@@ -148,69 +149,54 @@ impl ServeSimReport {
             false,
         );
         push_field(&mut out, "max_batch", &self.max_batch.to_string(), false);
-        push_field(&mut out, "slo_secs", &fmt_f64(self.slo_secs), false);
+        push_field(&mut out, "slo_secs", &num(self.slo_secs), false);
         push_field(
             &mut out,
             "service_fixed_secs",
-            &fmt_f64(self.service_fixed_secs),
+            &num(self.service_fixed_secs),
             false,
         );
         push_field(
             &mut out,
             "service_per_row_secs",
-            &fmt_f64(self.service_per_row_secs),
+            &num(self.service_per_row_secs),
             false,
         );
-        push_field(
-            &mut out,
-            "sim_clock_secs",
-            &fmt_f64(self.sim_clock_secs),
-            false,
-        );
-        push_field(
-            &mut out,
-            "throughput_rps",
-            &fmt_f64(self.throughput_rps),
-            false,
-        );
-        push_field(
-            &mut out,
-            "saturation_rps",
-            &fmt_f64(self.saturation_rps),
-            false,
-        );
+        push_field(&mut out, "sim_clock_secs", &num(self.sim_clock_secs), false);
+        push_field(&mut out, "throughput_rps", &num(self.throughput_rps), false);
+        push_field(&mut out, "saturation_rps", &num(self.saturation_rps), false);
         push_field(
             &mut out,
             "latency_p50_secs",
-            &fmt_f64(self.latency_p50_secs),
+            &num(self.latency_p50_secs),
             false,
         );
         push_field(
             &mut out,
             "latency_p99_secs",
-            &fmt_f64(self.latency_p99_secs),
+            &num(self.latency_p99_secs),
             false,
         );
         push_field(
             &mut out,
             "latency_p999_secs",
-            &fmt_f64(self.latency_p999_secs),
+            &num(self.latency_p999_secs),
             false,
         );
         push_field(
             &mut out,
             "latency_max_secs",
-            &fmt_f64(self.latency_max_secs),
+            &num(self.latency_max_secs),
             false,
         );
         if timings {
-            push_field(&mut out, "wall_secs", &fmt_f64(self.wall_secs), false);
+            push_field(&mut out, "wall_secs", &num(self.wall_secs), false);
             let wall_rate = if self.wall_secs > 0.0 {
                 self.served as f64 / self.wall_secs
             } else {
                 0.0
             };
-            push_field(&mut out, "wall_served_per_sec", &fmt_f64(wall_rate), false);
+            push_field(&mut out, "wall_served_per_sec", &num(wall_rate), false);
         }
         out.push_str(",\"tenants\":[");
         for (i, t) in self.tenants.iter().enumerate() {
@@ -232,29 +218,9 @@ impl ServeSimReport {
             );
             out.push('}');
         }
-        out.push_str("],\"percentiles\":[");
-        let mut first = true;
-        for m in &self.percentiles {
-            if !timings && !m.deterministic {
-                continue;
-            }
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push('{');
-            push_field(&mut out, "name", &format!("\"{}\"", m.name), true);
-            push_field(&mut out, "kind", &format!("\"{}\"", m.kind), false);
-            push_field(&mut out, "count", &m.count.to_string(), false);
-            push_field(&mut out, "value", &fmt_f64(m.value), false);
-            push_field(&mut out, "min", &fmt_f64(m.min), false);
-            push_field(&mut out, "max", &fmt_f64(m.max), false);
-            push_field(&mut out, "p50", &fmt_f64(m.p50), false);
-            push_field(&mut out, "p95", &fmt_f64(m.p95), false);
-            push_field(&mut out, "p99", &fmt_f64(m.p99), false);
-            out.push('}');
-        }
-        out.push_str("]}");
+        out.push(']');
+        push_percentiles(&mut out, &self.percentiles, timings);
+        out.push('}');
         out
     }
 
@@ -281,25 +247,6 @@ impl ServeSimReport {
             self.latency_max_secs,
             self.slo_violations,
         )
-    }
-}
-
-fn push_field(out: &mut String, key: &str, value: &str, first: bool) {
-    if !first {
-        out.push(',');
-    }
-    out.push('"');
-    out.push_str(key);
-    out.push_str("\":");
-    out.push_str(value);
-}
-
-/// Shortest round-trip decimal form (`f64` Display), as in `RunReport`.
-fn fmt_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".into()
     }
 }
 

@@ -55,6 +55,7 @@
 
 use std::collections::BTreeMap;
 
+use crate::json;
 use crate::trace::{EventKind, Trace, Track};
 use crate::Phase;
 
@@ -563,16 +564,6 @@ pub fn analyze_trace(trace: &Trace) -> Result<TraceProfile, AnalyzeError> {
     })
 }
 
-/// Shortest-round-trip JSON number (non-finite → `null`), matching every
-/// other canonical artifact in the workspace.
-fn fmt_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
-}
-
 impl TraceProfile {
     /// The canonical `{"kind":"trace_profile","source":"train"}` JSON
     /// document: pure simulated clock, byte-identical across reruns of the
@@ -587,16 +578,16 @@ impl TraceProfile {
         out.push_str(&format!("  \"events\": {},\n", self.events));
         out.push_str(&format!(
             "  \"sim_end_secs\": {},\n",
-            fmt_f64(self.sim_end_secs)
+            json::num(self.sim_end_secs)
         ));
         out.push_str("  \"critical_path\": {\n");
         out.push_str(&format!(
             "    \"total_secs\": {},\n",
-            fmt_f64(self.critical_path.total_secs)
+            json::num(self.critical_path.total_secs)
         ));
         out.push_str(&format!(
             "    \"attributed_secs\": {},\n",
-            fmt_f64(self.critical_path.attributed_secs)
+            json::num(self.critical_path.attributed_secs)
         ));
         out.push_str(&format!(
             "    \"segments\": {},\n",
@@ -610,7 +601,7 @@ impl TraceProfile {
                  \"events\": {}, \"bytes\": {}}}",
                 a.track,
                 a.phase.name(),
-                fmt_f64(a.secs),
+                json::num(a.secs),
                 a.events,
                 a.bytes
             ));
@@ -624,8 +615,8 @@ impl TraceProfile {
                 p.round,
                 p.track,
                 p.phase.name(),
-                fmt_f64(p.begin_secs),
-                fmt_f64(p.secs),
+                json::num(p.begin_secs),
+                json::num(p.secs),
                 p.events,
                 p.bytes
             ));
@@ -637,9 +628,9 @@ impl TraceProfile {
                 "    {{\"round\": {}, \"begin_secs\": {}, \"end_secs\": {}, \
                  \"secs\": {}, \"segments\": {}}}",
                 r.round,
-                fmt_f64(r.begin_secs),
-                fmt_f64(r.end_secs),
-                fmt_f64(r.secs),
+                json::num(r.begin_secs),
+                json::num(r.end_secs),
+                json::num(r.secs),
                 r.segments
             ));
         }
@@ -651,9 +642,9 @@ impl TraceProfile {
                  \"idle_secs\": {}, \"blocked_secs\": {}, \"bytes\": {}}}",
                 u.track,
                 u.events,
-                fmt_f64(u.busy_secs),
-                fmt_f64(u.idle_secs),
-                fmt_f64(u.blocked_secs),
+                json::num(u.busy_secs),
+                json::num(u.idle_secs),
+                json::num(u.blocked_secs),
                 u.bytes
             ));
         }
@@ -662,8 +653,8 @@ impl TraceProfile {
             "\"service_events\": {}, \"service_secs\": {}, \"queue_wait_secs\": {}, \
              \"max_queue_depth\": {}}}",
             self.ps.service_events,
-            fmt_f64(self.ps.service_secs),
-            fmt_f64(self.ps.queue_wait_secs),
+            json::num(self.ps.service_secs),
+            json::num(self.ps.queue_wait_secs),
             self.ps.max_queue_depth
         ));
         if let Some(f) = &self.faults {
@@ -671,11 +662,11 @@ impl TraceProfile {
             out.push_str(&format!("    \"events\": {},\n", f.events));
             out.push_str(&format!(
                 "    \"stretch_secs\": {},\n",
-                fmt_f64(f.stretch_secs)
+                json::num(f.stretch_secs)
             ));
             out.push_str(&format!(
                 "    \"faultfree_estimate_secs\": {},\n",
-                fmt_f64(f.faultfree_estimate_secs)
+                json::num(f.faultfree_estimate_secs)
             ));
             out.push_str("    \"by_name\": [");
             for (i, k) in f.by_name.iter().enumerate() {
@@ -684,7 +675,7 @@ impl TraceProfile {
                     "      {{\"name\": \"{}\", \"events\": {}, \"secs\": {}}}",
                     k.name,
                     k.events,
-                    fmt_f64(k.secs)
+                    json::num(k.secs)
                 ));
             }
             out.push_str("\n    ]\n  }");
@@ -694,11 +685,11 @@ impl TraceProfile {
             out.push_str(&format!("    \"events\": {},\n", m.events));
             out.push_str(&format!(
                 "    \"stretch_secs\": {},\n",
-                fmt_f64(m.stretch_secs)
+                json::num(m.stretch_secs)
             ));
             out.push_str(&format!(
                 "    \"fixed_estimate_secs\": {},\n",
-                fmt_f64(m.fixed_estimate_secs)
+                json::num(m.fixed_estimate_secs)
             ));
             out.push_str("    \"by_name\": [");
             for (i, k) in m.by_name.iter().enumerate() {
@@ -707,7 +698,7 @@ impl TraceProfile {
                     "      {{\"name\": \"{}\", \"events\": {}, \"secs\": {}}}",
                     k.name,
                     k.events,
-                    fmt_f64(k.secs)
+                    json::num(k.secs)
                 ));
             }
             out.push_str("\n    ]\n  }");

@@ -1,11 +1,9 @@
 use std::iter::Sum;
 use std::ops::{Add, AddAssign};
 
-use serde::{Deserialize, Serialize};
-
 /// Simulated time in seconds. A newtype so simulated durations cannot be
 /// confused with wall-clock measurements in the benchmark harness.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct SimTime(pub f64);
 
 impl SimTime {
@@ -56,7 +54,7 @@ impl Sum for SimTime {
 /// assert!(m.t_ps_exchange(h, 32) < m.t_allreduce_binomial(h, 32));
 /// assert!(m.t_allreduce_binomial(h, 32) < m.t_reduce_to_one(h, 32));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostModel {
     /// Latency per package, in seconds.
     pub alpha: f64,

@@ -27,9 +27,7 @@
 //! trace byte-for-byte.
 
 use std::collections::{BTreeSet, HashMap, HashSet};
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex};
 
 use crate::Phase;
 
@@ -677,19 +675,19 @@ impl FaultSession {
     /// Mirrors `TraceBus::set_worker`: which worker issues the PS requests
     /// that follow (`None` → requests are not subject to message faults).
     pub fn set_worker(&self, worker: Option<u32>) {
-        self.inner.lock().origin = worker;
+        self.inner.lock().unwrap().origin = worker;
     }
 
     /// The currently declared requesting worker.
     pub fn current_worker(&self) -> Option<u32> {
-        self.inner.lock().origin
+        self.inner.lock().unwrap().origin
     }
 
     /// Assigns the next message sequence id for `worker`. Ids are monotone
     /// per worker and never reused, which is what makes server-side
     /// deduplication sound.
     pub fn next_seq(&self, worker: u32) -> u64 {
-        let mut st = self.inner.lock();
+        let mut st = self.inner.lock().unwrap();
         let seq = st.next_seq.entry(worker).or_insert(0);
         let out = *seq;
         *seq += 1;
@@ -698,7 +696,7 @@ impl FaultSession {
 
     /// Marks `worker` permanently lost.
     pub fn mark_lost(&self, worker: u32) {
-        let mut st = self.inner.lock();
+        let mut st = self.inner.lock().unwrap();
         if st.lost.insert(worker) {
             st.summary.workers_lost += 1;
         }
@@ -706,14 +704,14 @@ impl FaultSession {
 
     /// Whether `worker` has been lost.
     pub fn is_lost(&self, worker: u32) -> bool {
-        self.inner.lock().lost.contains(&worker)
+        self.inner.lock().unwrap().lost.contains(&worker)
     }
 
     /// Simulated-time dilation factor for `phase`: the worst live straggler
     /// times the load multiplier from redistributed shards (a machine that
     /// adopted `n` extra shards runs `1 + n`× slower on every phase).
     pub fn dilation(&self, phase: Phase) -> f64 {
-        let st = self.inner.lock();
+        let st = self.inner.lock().unwrap();
         let straggler = self
             .plan
             .stragglers
@@ -727,56 +725,56 @@ impl FaultSession {
 
     /// Snapshot of the accumulated counters.
     pub fn summary(&self) -> FaultSummary {
-        self.inner.lock().summary
+        self.inner.lock().unwrap().summary
     }
 
     // ---- counter hooks (called by the PS retry loop / trainer) -----------
 
     /// Records one request-loss.
     pub fn on_request_drop(&self) {
-        self.inner.lock().summary.request_drops += 1;
+        self.inner.lock().unwrap().summary.request_drops += 1;
     }
 
     /// Records one ack-loss.
     pub fn on_ack_drop(&self) {
-        self.inner.lock().summary.ack_drops += 1;
+        self.inner.lock().unwrap().summary.ack_drops += 1;
     }
 
     /// Records one duplicated delivery.
     pub fn on_duplicate(&self) {
-        self.inner.lock().summary.duplicates += 1;
+        self.inner.lock().unwrap().summary.duplicates += 1;
     }
 
     /// Records one redundant delivery absorbed by deduplication.
     pub fn on_dedup_hit(&self) {
-        self.inner.lock().summary.dedup_hits += 1;
+        self.inner.lock().unwrap().summary.dedup_hits += 1;
     }
 
     /// Records one retry and the timeout + backoff seconds it cost.
     pub fn on_retry(&self, wait_secs: f64) {
-        let mut st = self.inner.lock();
+        let mut st = self.inner.lock().unwrap();
         st.summary.retries += 1;
         st.summary.backoff_secs += wait_secs;
     }
 
     /// Records one forced delivery (retry cap reached).
     pub fn on_forced_delivery(&self) {
-        self.inner.lock().summary.forced_deliveries += 1;
+        self.inner.lock().unwrap().summary.forced_deliveries += 1;
     }
 
     /// Accumulates straggler-dilation seconds.
     pub fn add_straggler_secs(&self, secs: f64) {
-        self.inner.lock().summary.straggler_secs += secs;
+        self.inner.lock().unwrap().summary.straggler_secs += secs;
     }
 
     /// Accumulates outage-wait seconds.
     pub fn add_outage_wait_secs(&self, secs: f64) {
-        self.inner.lock().summary.outage_wait_secs += secs;
+        self.inner.lock().unwrap().summary.outage_wait_secs += secs;
     }
 
     /// Records the injected crash.
     pub fn on_crash(&self) {
-        self.inner.lock().summary.crashes += 1;
+        self.inner.lock().unwrap().summary.crashes += 1;
     }
 
     // ---- elastic membership (stripe→machine overlay) ---------------------
@@ -792,7 +790,7 @@ impl FaultSession {
     /// and machine `i` owns stripe `i` (the initial 1:1 placement). No-op
     /// when already initialised.
     pub fn init_membership(&self, stripes: usize) {
-        let mut st = self.inner.lock();
+        let mut st = self.inner.lock().unwrap();
         if st.membership.is_some() {
             return;
         }
@@ -806,20 +804,25 @@ impl FaultSession {
 
     /// Whether the elastic overlay has been initialised.
     pub fn membership_active(&self) -> bool {
-        self.inner.lock().membership.is_some()
+        self.inner.lock().unwrap().membership.is_some()
     }
 
     /// Current membership epoch: 0 before any event or without an overlay.
     /// The PS tags deduplication state with this, so operations issued
     /// under an older epoch are rejected instead of merged.
     pub fn membership_epoch(&self) -> u64 {
-        self.inner.lock().membership.as_ref().map_or(0, |m| m.epoch)
+        self.inner
+            .lock()
+            .unwrap()
+            .membership
+            .as_ref()
+            .map_or(0, |m| m.epoch)
     }
 
     /// Snapshot `(stripe→machine assignment, live set, epoch)` for
     /// checkpointing. `None` without an overlay.
     pub fn membership_snapshot(&self) -> Option<(Vec<u32>, Vec<u32>, u64)> {
-        let st = self.inner.lock();
+        let st = self.inner.lock().unwrap();
         st.membership.as_ref().map(|m| {
             (
                 m.assignment.clone(),
@@ -832,7 +835,7 @@ impl FaultSession {
     /// Restores a checkpointed overlay snapshot on resume (overwrites any
     /// existing overlay).
     pub fn restore_membership(&self, assignment: Vec<u32>, live: Vec<u32>, epoch: u64) {
-        let mut st = self.inner.lock();
+        let mut st = self.inner.lock().unwrap();
         let summary = MembershipSummary {
             epoch,
             ..MembershipSummary::default()
@@ -851,7 +854,7 @@ impl FaultSession {
     /// highest-numbered stripe. Returns the stripe moves so the trainer can
     /// charge the transfers.
     pub fn apply_join(&self, worker: u32) -> Result<Vec<StripeMove>, String> {
-        let mut st = self.inner.lock();
+        let mut st = self.inner.lock().unwrap();
         let m = st
             .membership
             .as_mut()
@@ -901,7 +904,7 @@ impl FaultSession {
     /// to the currently least-loaded live machine (ties → smallest id).
     /// Returns the stripe moves. The last live machine cannot leave.
     pub fn apply_leave(&self, worker: u32) -> Result<Vec<StripeMove>, String> {
-        let mut st = self.inner.lock();
+        let mut st = self.inner.lock().unwrap();
         let m = st
             .membership
             .as_mut()
@@ -951,7 +954,7 @@ impl FaultSession {
     /// result wins, so the effective factor is
     /// `min(max, F × median + rate(backup) × load(straggler))`.
     pub fn membership_dilation(&self, phase: Phase) -> ElasticDilation {
-        let st = self.inner.lock();
+        let st = self.inner.lock().unwrap();
         let Some(m) = st.membership.as_ref() else {
             return ElasticDilation {
                 factor: 1.0,
@@ -1045,26 +1048,31 @@ impl FaultSession {
     /// Snapshot of the accumulated membership counters (`None` without an
     /// overlay, so non-elastic runs keep their reports byte-identical).
     pub fn membership_summary(&self) -> Option<MembershipSummary> {
-        self.inner.lock().membership.as_ref().map(|m| m.summary)
+        self.inner
+            .lock()
+            .unwrap()
+            .membership
+            .as_ref()
+            .map(|m| m.summary)
     }
 
     /// Accumulates graceful-handoff transfer seconds.
     pub fn add_handoff_secs(&self, secs: f64) {
-        if let Some(m) = self.inner.lock().membership.as_mut() {
+        if let Some(m) = self.inner.lock().unwrap().membership.as_mut() {
             m.summary.handoff_secs += secs;
         }
     }
 
     /// Accumulates cold re-shard seconds.
     pub fn add_reshard_secs(&self, secs: f64) {
-        if let Some(m) = self.inner.lock().membership.as_mut() {
+        if let Some(m) = self.inner.lock().unwrap().membership.as_mut() {
             m.summary.reshard_secs += secs;
         }
     }
 
     /// Accumulates elastic-dilation seconds.
     pub fn add_elastic_secs(&self, secs: f64) {
-        if let Some(m) = self.inner.lock().membership.as_mut() {
+        if let Some(m) = self.inner.lock().unwrap().membership.as_mut() {
             m.summary.elastic_secs += secs;
         }
     }
@@ -1072,7 +1080,7 @@ impl FaultSession {
     /// Records one speculative backup launch (and its win, when the backup
     /// finished first, with the simulated seconds it saved).
     pub fn on_backup(&self, won: bool, saved_secs: f64) {
-        if let Some(m) = self.inner.lock().membership.as_mut() {
+        if let Some(m) = self.inner.lock().unwrap().membership.as_mut() {
             m.summary.speculative_backups += 1;
             if won {
                 m.summary.backup_wins += 1;
@@ -1083,7 +1091,7 @@ impl FaultSession {
 
     /// Records one stale-epoch operation rejected by the PS.
     pub fn on_stale_reject(&self) {
-        if let Some(m) = self.inner.lock().membership.as_mut() {
+        if let Some(m) = self.inner.lock().unwrap().membership.as_mut() {
             m.summary.stale_rejects += 1;
         }
     }

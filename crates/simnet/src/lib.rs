@@ -25,12 +25,14 @@
 //! On top of the aggregates, [`trace`] records an event-level timeline on
 //! the simulated clock (exportable as Chrome-trace-event JSON) and
 //! [`registry`] collects counters/gauges/histograms with deterministic
-//! percentile exports.
+//! percentile exports. [`json`] holds the number formatter and field
+//! writers every JSON report and profile in the workspace shares.
 
 pub mod analyze;
 pub mod collectives;
 mod cost;
 pub mod fault;
+pub mod json;
 pub mod registry;
 mod stats;
 pub mod trace;

@@ -1,7 +1,4 @@
-use std::sync::Arc;
-
-use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
+use std::sync::{Arc, Mutex};
 
 use crate::trace::TraceBus;
 use crate::SimTime;
@@ -11,7 +8,7 @@ use crate::SimTime;
 ///
 /// [`Phase::Other`] is the catch-all for events recorded through untagged
 /// legacy entry points; a fully instrumented run leaves it empty.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Phase {
     /// Workers build local per-feature quantile sketches and push them.
     CreateSketch,
@@ -86,7 +83,7 @@ impl Phase {
 /// Accumulated communication statistics: what moved, how many packages, and
 /// how much simulated time it cost. Used by the trainer to decompose run
 /// time into computation and communication (Figure 13 of the paper).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct CommStats {
     /// Total payload bytes moved over the simulated network.
     pub bytes: u64,
@@ -208,7 +205,7 @@ impl StatsRecorder {
 
     /// Mirrors every subsequent record onto `bus` as a trace event.
     pub fn attach_trace(&self, bus: TraceBus) {
-        *self.trace.lock() = Some(bus);
+        *self.trace.lock().unwrap() = Some(bus);
     }
 
     /// Records one event without attribution (files under [`Phase::Other`]).
@@ -231,8 +228,11 @@ impl StatsRecorder {
         packages: u64,
         time: SimTime,
     ) {
-        self.inner.lock().record(phase, bytes, packages, time);
-        if let Some(bus) = &*self.trace.lock() {
+        self.inner
+            .lock()
+            .unwrap()
+            .record(phase, bytes, packages, time);
+        if let Some(bus) = &*self.trace.lock().unwrap() {
             bus.on_request(phase, name, bytes, packages, time);
         }
     }
@@ -241,8 +241,8 @@ impl StatsRecorder {
     /// `phase`. On the trace this is a barrier that advances the global
     /// simulated clock.
     pub fn charge(&self, phase: Phase, time: SimTime) {
-        self.inner.lock().record(phase, 0, 0, time);
-        if let Some(bus) = &*self.trace.lock() {
+        self.inner.lock().unwrap().record(phase, 0, 0, time);
+        if let Some(bus) = &*self.trace.lock().unwrap() {
             bus.on_charge(phase, time);
         }
     }
@@ -259,7 +259,7 @@ impl StatsRecorder {
         bytes: u64,
         count: u64,
     ) {
-        if let Some(bus) = &*self.trace.lock() {
+        if let Some(bus) = &*self.trace.lock().unwrap() {
             bus.on_fault(phase, name, dur, bytes, count);
         }
     }
@@ -276,7 +276,7 @@ impl StatsRecorder {
         bytes: u64,
         count: u64,
     ) {
-        if let Some(bus) = &*self.trace.lock() {
+        if let Some(bus) = &*self.trace.lock().unwrap() {
             bus.on_membership(phase, name, dur, bytes, count);
         }
     }
@@ -286,7 +286,7 @@ impl StatsRecorder {
     /// already happened in the run being resumed; replaying it would
     /// double-count events and advance the simulated clock twice.
     pub fn preload(&self, ledger: &CommLedger) {
-        self.inner.lock().absorb_ledger(ledger);
+        self.inner.lock().unwrap().absorb_ledger(ledger);
     }
 
     /// Adds a whole [`CommStats`] (e.g. a collective's report) without
@@ -303,25 +303,25 @@ impl StatsRecorder {
     /// Adds a whole [`CommStats`] under `phase` with an operation name for
     /// the trace.
     pub fn absorb_named(&self, phase: Phase, name: &'static str, stats: &CommStats) {
-        self.inner.lock().absorb(phase, stats);
-        if let Some(bus) = &*self.trace.lock() {
+        self.inner.lock().unwrap().absorb(phase, stats);
+        if let Some(bus) = &*self.trace.lock().unwrap() {
             bus.on_request(phase, name, stats.bytes, stats.packages, stats.sim_time);
         }
     }
 
     /// Snapshot of the current totals (aggregate over all phases).
     pub fn snapshot(&self) -> CommStats {
-        self.inner.lock().total()
+        self.inner.lock().unwrap().total()
     }
 
     /// Snapshot of the full per-phase ledger.
     pub fn ledger(&self) -> CommLedger {
-        self.inner.lock().clone()
+        self.inner.lock().unwrap().clone()
     }
 
     /// Resets the ledger and returns the aggregate that was accumulated.
     pub fn take(&self) -> CommStats {
-        std::mem::take(&mut *self.inner.lock()).total()
+        std::mem::take(&mut *self.inner.lock().unwrap()).total()
     }
 }
 

@@ -41,10 +41,9 @@
 //!   order reproduces the recorder's ledger **bit-exactly** (same f64 fold
 //!   order, exact u64 byte/package counts).
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-use parking_lot::Mutex;
-
+use crate::json;
 use crate::registry::{FixedHistogram, MetricExport, MetricsRegistry};
 use crate::{CommLedger, CostModel, Phase, SimTime};
 
@@ -367,13 +366,13 @@ impl TraceBus {
 
     /// True when events are being stored (not just metrics).
     pub fn capturing(&self) -> bool {
-        self.inner.lock().capture
+        self.inner.lock().unwrap().capture
     }
 
     /// Declares which worker issues the PS requests that follow
     /// (`None` → attribute to the net track).
     pub fn set_worker(&self, worker: Option<u32>) {
-        self.inner.lock().origin = worker;
+        self.inner.lock().unwrap().origin = worker;
     }
 
     /// A PS request/response as the ledger recorded it. Called by
@@ -387,7 +386,7 @@ impl TraceBus {
         packages: u64,
         time: SimTime,
     ) {
-        let mut st = self.inner.lock();
+        let mut st = self.inner.lock().unwrap();
         let track = match st.origin {
             Some(w) => Track::Worker(w),
             None => Track::Net,
@@ -418,7 +417,7 @@ impl TraceBus {
 
     /// A simulated-time charge: a barrier that advances the global clock.
     pub fn on_charge(&self, phase: Phase, time: SimTime) {
-        let mut st = self.inner.lock();
+        let mut st = self.inner.lock().unwrap();
         let begin = st.now;
         st.push(
             Track::Net,
@@ -443,7 +442,7 @@ impl TraceBus {
 
     /// An internal collective round (annotation only; no ledger cost).
     pub fn on_step(&self, phase: Phase, name: &'static str, bytes: u64, packages: u64) {
-        let mut st = self.inner.lock();
+        let mut st = self.inner.lock().unwrap();
         let begin = st.now;
         st.push(
             Track::Net,
@@ -464,7 +463,7 @@ impl TraceBus {
     /// fault track stays monotone. `count` is free-form per event name
     /// (attempt number for retries, worker id for crashes).
     pub fn on_fault(&self, phase: Phase, name: &'static str, dur: SimTime, bytes: u64, count: u64) {
-        let mut st = self.inner.lock();
+        let mut st = self.inner.lock().unwrap();
         let begin = st.now;
         st.metrics.counter_add(&format!("sim/faults/{name}"), 1);
         if dur.0 > 0.0 {
@@ -496,7 +495,7 @@ impl TraceBus {
         bytes: u64,
         count: u64,
     ) {
-        let mut st = self.inner.lock();
+        let mut st = self.inner.lock().unwrap();
         let begin = st.now;
         st.metrics.counter_add(&format!("sim/membership/{name}"), 1);
         if dur.0 > 0.0 {
@@ -518,7 +517,7 @@ impl TraceBus {
 
     /// A worker phase slice measured on the wall clock.
     pub fn on_compute(&self, worker: u32, phase: Phase, wall_secs: f64) {
-        let mut st = self.inner.lock();
+        let mut st = self.inner.lock().unwrap();
         let begin = st.now;
         st.metrics.observe_with(
             &format!("wall/phase_secs/{}", phase.name()),
@@ -540,17 +539,17 @@ impl TraceBus {
 
     /// Flat export of the metrics registry (sorted by name).
     pub fn export_metrics(&self) -> Vec<MetricExport> {
-        self.inner.lock().metrics.export()
+        self.inner.lock().unwrap().metrics.export()
     }
 
     /// A copy of the events recorded so far (tests, checks).
     pub fn snapshot_events(&self) -> Vec<TraceEvent> {
-        self.inner.lock().events.clone()
+        self.inner.lock().unwrap().events.clone()
     }
 
     /// Drains the bus into a finished [`Trace`].
     pub fn finish(&self) -> Trace {
-        let mut st = self.inner.lock();
+        let mut st = self.inner.lock().unwrap();
         Trace {
             workers: self.workers,
             servers: self.servers,
@@ -651,11 +650,11 @@ impl Trace {
                 e.phase.name(),
                 e.bytes,
                 e.packages,
-                json_num(e.begin.0 * 1e6),
-                json_num(e.sim_dur.0 * 1e6),
+                json::num(e.begin.0 * 1e6),
+                json::num(e.sim_dur.0 * 1e6),
             );
             if with_wall && e.kind == EventKind::Compute {
-                args.push_str(&format!(",\"wall_ms\":{}", json_num(e.wall_secs * 1e3)));
+                args.push_str(&format!(",\"wall_ms\":{}", json::num(e.wall_secs * 1e3)));
             }
             emit(
                 format!(
@@ -664,7 +663,7 @@ impl Trace {
                     e.name,
                     e.phase.name(),
                     tid,
-                    json_num(begin_us),
+                    json::num(begin_us),
                     args
                 ),
                 &mut out,
@@ -673,7 +672,7 @@ impl Trace {
                 format!(
                     "{{\"ph\":\"E\",\"pid\":0,\"tid\":{},\"ts\":{}}}",
                     tid,
-                    json_num(end_us)
+                    json::num(end_us)
                 ),
                 &mut out,
             );
@@ -982,22 +981,16 @@ fn intern_name(name: &str) -> &'static str {
         }
     }
     static INTERNED: std::sync::OnceLock<Mutex<Vec<&'static str>>> = std::sync::OnceLock::new();
-    let mut table = INTERNED.get_or_init(|| Mutex::new(Vec::new())).lock();
+    let mut table = INTERNED
+        .get_or_init(|| Mutex::new(Vec::new()))
+        .lock()
+        .unwrap();
     if let Some(found) = table.iter().find(|n| **n == name) {
         return found;
     }
     let leaked: &'static str = Box::leak(name.to_string().into_boxed_str());
     table.push(leaked);
     leaked
-}
-
-/// Shortest-round-trip JSON number (non-finite values become `null`).
-fn json_num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
 }
 
 /// Structural well-formedness of an event stream:

@@ -7,8 +7,6 @@
 //! well-defined **zero bucket** — the bucket that contains the value `0.0` —
 //! so `0.0` is always inserted as an explicit boundary.
 
-use serde::{Deserialize, Serialize};
-
 use crate::GkSketch;
 
 /// Split candidates for one feature: a sorted list of distinct boundary
@@ -25,7 +23,7 @@ use crate::GkSketch;
 /// assert_eq!(c.bucket(0.0), c.zero_bucket());
 /// assert_eq!(c.bucket(1.5), 2);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SplitCandidates {
     splits: Vec<f32>,
     zero_bucket: usize,
