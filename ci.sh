@@ -23,6 +23,24 @@ cargo test -q
 echo "==> workspace: cargo test -q --workspace"
 cargo test -q --workspace
 
+echo "==> benchmark: cargo test --release --offline --manifest-path perfbench/Cargo.toml"
+# The benchmark's own tests hold the only check that the trainer's tree 0
+# equals perfbench's serial replay of it under the dense and the sparse
+# quantized wire. Building the benchmark can rewrite perfbench/Cargo.lock
+# (cargo prunes dependencies the workspace dropped); that file changes only
+# with the benchmark, so it is put back whatever the tests return.
+LOCK_COPY=$(mktemp)
+cp perfbench/Cargo.lock "$LOCK_COPY"
+set +e
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+status=$?
+set -e
+cp "$LOCK_COPY" perfbench/Cargo.lock
+rm -f "$LOCK_COPY"
+if [ "$status" -ne 0 ]; then
+  exit "$status"
+fi
+
 echo "==> observability smoke: determinism gate + trace check"
 cargo build --release -q -p dimboost-cli -p dimboost-bench
 SMOKE=$(mktemp -d)

@@ -1042,9 +1042,11 @@ tree {i}:
                 );
             }
             println!(
-                "trained {} trees; compute {:.2}s, simulated comm {:.2}s ({} bytes)",
+                "trained {} trees; compute {:.2}s, wire quantize {:.2}s host, \
+                 simulated comm {:.2}s ({} bytes)",
                 out.model.num_trees(),
                 out.breakdown.compute_secs,
+                out.report.quantize_wall_secs,
                 out.breakdown.comm.sim_time.seconds(),
                 out.breakdown.comm.bytes
             );

@@ -30,7 +30,9 @@
 //!
 //! A `run` issued from inside a pool worker (nested parallelism) executes
 //! its stripes inline, sequentially, on the calling worker — same results
-//! (stripe functions are pure), no deadlock, no extra threads.
+//! (stripe functions are pure), no deadlock, no extra threads. The same
+//! holds inside the stripe that [`WorkerPool::run_with_caller`] runs on the
+//! calling thread.
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -149,6 +151,28 @@ impl WorkerPool {
         R: Send,
         F: Fn(usize) -> R + Sync,
     {
+        self.run_striped(stripes, f, false)
+    }
+
+    /// [`WorkerPool::run`], except that the calling thread computes stripe
+    /// 0 itself while the pool computes stripes `1..stripes`. Results are
+    /// the same; what changes is where stripe 0 allocates. A result that
+    /// outlives the call (the trainer's quantized rows) is then allocated
+    /// by the caller, in memory the caller has just freed, instead of
+    /// growing a pool thread's heap.
+    pub fn run_with_caller<R, F>(&self, stripes: usize, f: F) -> Vec<R>
+    where
+        R: Send,
+        F: Fn(usize) -> R + Sync,
+    {
+        self.run_striped(stripes, f, true)
+    }
+
+    fn run_striped<R, F>(&self, stripes: usize, f: F, caller_takes_first: bool) -> Vec<R>
+    where
+        R: Send,
+        F: Fn(usize) -> R + Sync,
+    {
         if stripes == 0 {
             return Vec::new();
         }
@@ -168,7 +192,18 @@ impl WorkerPool {
                 }
             }
         };
-        self.broadcast(stripes, &task);
+        if caller_takes_first {
+            let rest = |stripe: usize| task(stripe + 1);
+            self.broadcast(stripes - 1, &rest, || {
+                // Nested runs from the caller's stripe go inline, as they
+                // do from a pool worker: the pool is busy with this job.
+                IN_POOL_WORKER.with(|w| w.set(true));
+                task(0);
+                IN_POOL_WORKER.with(|w| w.set(false));
+            });
+        } else {
+            self.broadcast(stripes, &task, || {});
+        }
         if let Some(payload) = panic.into_inner().expect("panic slot poisoned") {
             resume_unwind(payload);
         }
@@ -182,20 +217,25 @@ impl WorkerPool {
             .collect()
     }
 
-    /// Hands `task` to every worker and blocks until all have finished
-    /// their stripes. `task` must not unwind (callers wrap in
+    /// Hands `task` to every worker, runs `on_caller` on the calling
+    /// thread meanwhile, and blocks until all workers have finished their
+    /// stripes. Neither `task` nor `on_caller` may unwind (callers wrap in
     /// `catch_unwind`).
-    fn broadcast(&self, stripes: usize, task: &(dyn Fn(usize) + Sync)) {
+    fn broadcast(&self, stripes: usize, task: &(dyn Fn(usize) + Sync), on_caller: impl FnOnce()) {
         let _exclusive = self.broadcast_lock.lock().expect("broadcast lock poisoned");
         // Erase the borrow's lifetime: the pointee outlives this call, and
         // this call outlives every worker's use of it (we wait below).
         let task: *const (dyn Fn(usize) + Sync) =
             unsafe { std::mem::transmute::<&(dyn Fn(usize) + Sync), _>(task) };
+        {
+            let mut state = self.shared.state.lock().expect("pool state poisoned");
+            state.job = Some(Job { task, stripes });
+            state.epoch += 1;
+            state.remaining = self.size;
+            self.shared.work_cv.notify_all();
+        }
+        on_caller();
         let mut state = self.shared.state.lock().expect("pool state poisoned");
-        state.job = Some(Job { task, stripes });
-        state.epoch += 1;
-        state.remaining = self.size;
-        self.shared.work_cv.notify_all();
         while state.remaining > 0 {
             state = self
                 .shared
@@ -310,6 +350,53 @@ mod tests {
         // inline without deadlocking on the (busy) pool.
         let out = pool.run(4, move |s| inner.run(3, |t| s * 10 + t));
         assert_eq!(out[2], vec![20, 21, 22]);
+    }
+
+    #[test]
+    fn caller_stripe_gives_the_same_results() {
+        for size in [1, 2, 3] {
+            let pool = WorkerPool::new(size);
+            for stripes in [0, 1, 2, 5] {
+                assert_eq!(
+                    pool.run_with_caller(stripes, |s| s * 3),
+                    pool.run(stripes, |s| s * 3),
+                    "size {size}, stripes {stripes}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn caller_stripe_runs_on_the_caller_and_nests_inline() {
+        let pool = Arc::new(WorkerPool::new(2));
+        let inner = Arc::clone(&pool);
+        let caller = std::thread::current().id();
+        let out = pool.run_with_caller(3, move |s| {
+            (
+                std::thread::current().id() == caller,
+                inner.run(2, |t| s * 10 + t),
+            )
+        });
+        assert!(out[0].0, "stripe 0 ran off the calling thread");
+        assert!(!out[1].0 && !out[2].0, "stripes 1.. ran on the caller");
+        assert_eq!(out[2].1, vec![20, 21]);
+        // The caller is not left marked as a pool worker.
+        assert!(!IN_POOL_WORKER.with(|w| w.get()));
+    }
+
+    #[test]
+    fn caller_stripe_panic_propagates() {
+        let pool = WorkerPool::new(2);
+        for bad in [0, 1] {
+            let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                pool.run_with_caller(2, |s| {
+                    assert!(s != bad, "stripe {bad} exploded");
+                    s
+                })
+            }));
+            assert!(caught.is_err(), "stripe {bad}");
+        }
+        assert_eq!(pool.run_with_caller(2, |s| s), vec![0, 1]);
     }
 
     #[test]

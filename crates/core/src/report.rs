@@ -152,6 +152,11 @@ pub struct RoundRecord {
     /// Wall-clock compute seconds accrued to this round (max across
     /// workers per span). Varies run to run; omitted from canonical JSON.
     pub compute_secs: f64,
+    /// Host wall seconds this round spent in the §6.1 wire quantizer (the
+    /// FIND_SPLIT quantize stage, all workers). Outside every span, so not
+    /// part of `compute_secs`; omitted from canonical JSON. 0 when low
+    /// precision is off, and for rounds restored from a checkpoint.
+    pub quantize_wall_secs: f64,
     /// Histogram row bytes as full-precision `f32` (what an uncompressed
     /// push would have moved), summed over workers, nodes, and layers.
     pub hist_bytes_raw: u64,
@@ -199,6 +204,7 @@ impl RoundRecord {
             trees: 0,
             train_loss: 0.0,
             compute_secs: 0.0,
+            quantize_wall_secs: 0.0,
             hist_bytes_raw: 0,
             hist_bytes_wire: 0,
             max_quant_scale: 0.0,
@@ -289,6 +295,9 @@ pub struct RunReport {
     pub servers: usize,
     /// Total compute seconds (max across workers per span, summed).
     pub compute_secs: f64,
+    /// Host wall seconds spent in the wire quantizer, summed over rounds
+    /// (see [`RoundRecord::quantize_wall_secs`]); timed JSON only.
+    pub quantize_wall_secs: f64,
     /// Aggregate communication over all phases.
     pub comm: CommStats,
     /// Per-phase breakdown, in execution-plan order; phases with no
@@ -367,6 +376,7 @@ impl RunReport {
             workers,
             servers,
             compute_secs: timer.total_secs(),
+            quantize_wall_secs: rounds.iter().map(|r| r.quantize_wall_secs).sum(),
             comm: ledger.total(),
             phases,
             rounds,
@@ -403,6 +413,12 @@ impl RunReport {
         push_field(&mut out, "servers", &self.servers.to_string(), false);
         if timings {
             push_field(&mut out, "compute_secs", &num(self.compute_secs), false);
+            push_field(
+                &mut out,
+                "quantize_wall_secs",
+                &num(self.quantize_wall_secs),
+                false,
+            );
         }
         out.push_str(",\"comm\":");
         push_comm(&mut out, &self.comm);
@@ -454,6 +470,12 @@ impl RunReport {
             push_field(&mut out, "train_loss", &num(r.train_loss), false);
             if timings {
                 push_field(&mut out, "compute_secs", &num(r.compute_secs), false);
+                push_field(
+                    &mut out,
+                    "quantize_wall_secs",
+                    &num(r.quantize_wall_secs),
+                    false,
+                );
             }
             push_field(
                 &mut out,
@@ -694,6 +716,7 @@ mod tests {
         round.trees = 1;
         round.train_loss = 0.5;
         round.compute_secs = timer.round_secs(0);
+        round.quantize_wall_secs = 0.125;
         round.hist_bytes_raw = 4000;
         round.hist_bytes_wire = 1000;
         round.max_quant_scale = 1.5;
@@ -743,6 +766,8 @@ mod tests {
         assert!(json.starts_with("{\"workers\":2,\"servers\":2,\"compute_secs\":"));
         assert!(json.contains("\"phase\":\"build_histogram\""));
         assert!(json.contains("\"hist_bytes_raw\":4000"));
+        // The quantize stage's host time: per round and as the run total.
+        assert_eq!(json.matches("\"quantize_wall_secs\":0.125").count(), 2);
         assert!(json.contains("\"split_gains\":[2.25,0.5]"));
         assert!(json.contains("{\"node\":0,\"instances\":100}"));
         // Balanced braces/brackets (cheap well-formedness check).
@@ -761,6 +786,7 @@ mod tests {
         let canonical = report.canonical_json();
         assert!(!canonical.contains("compute_secs"));
         assert!(!canonical.contains("compute_max_secs"));
+        assert!(!canonical.contains("quantize_wall_secs"));
         // But keeps all deterministic fields.
         assert!(canonical.contains("\"sim_time_secs\":0.25"));
         assert!(canonical.contains("\"train_loss\":0.5"));
@@ -768,12 +794,14 @@ mod tests {
         // Same data with different wall-clock values → same canonical form.
         let mut other = report.clone();
         other.compute_secs += 1.0;
+        other.quantize_wall_secs += 1.0;
         for p in &mut other.phases {
             p.compute_max_secs *= 2.0;
             p.compute_skew_secs += 0.1;
         }
         for r in &mut other.rounds {
             r.compute_secs += 3.0;
+            r.quantize_wall_secs += 3.0;
         }
         assert_eq!(other.canonical_json(), canonical);
         assert_ne!(other.json(), report.json());

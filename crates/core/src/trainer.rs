@@ -10,15 +10,16 @@
 //! config toggle so the Table 3 ablation can enable them one at a time.
 
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
+use std::time::Instant;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use dimboost_data::Dataset;
-use dimboost_ps::quantize::quantize_row;
+use dimboost_ps::quantize::{quantize_row, QuantizedRow};
 use dimboost_ps::split::{best_split_in_range, FinalSplit, PullSplitResult, SplitDecision};
-use dimboost_ps::{ParameterServer, PsConfig};
+use dimboost_ps::{HistogramLayout, ParameterServer, PsConfig};
 use dimboost_simnet::fault::{LeavePolicy, LossPolicy, StripeMove};
 use dimboost_simnet::{CommStats, FaultPlan, FaultSession, Phase, SimTime, Trace, TraceBus};
 use dimboost_sketch::{propose_candidates, GkSketch, SplitCandidates};
@@ -217,6 +218,59 @@ struct Worker {
     /// Row-subsampling membership for the current tree (`None` = all rows).
     sample_mask: Option<Vec<bool>>,
     rng: StdRng,
+}
+
+/// One worker's histogram rows for a layer: `(node, row, instances)`.
+type LocalRows = Vec<(u32, Vec<f32>, u64)>;
+
+/// One locally built histogram row as it goes on the wire.
+enum WireRow {
+    /// Full precision.
+    F32(Vec<f32>),
+    /// The §6.1 low-precision encoding.
+    Quantized(QuantizedRow),
+}
+
+/// Quantizes one wave of workers' `(node, row, instances)` lists
+/// concurrently, one pool stripe per worker. Each stripe draws from its own
+/// worker's RNG (cloned in, written back) in node order, so codes and RNG
+/// states equal those of quantizing the workers one after another. Each f32
+/// row is dropped as soon as it is encoded. The calling thread takes the
+/// first worker itself, so that worker's codes reuse the rows it frees
+/// rather than growing a pool thread's heap (peak memory).
+fn quantize_wave(
+    wave: &mut [Worker],
+    rows: Vec<LocalRows>,
+    layout: &HistogramLayout,
+    bits: u8,
+) -> Vec<Vec<(u32, WireRow, u64)>> {
+    let inputs: Vec<Mutex<Option<(StdRng, LocalRows)>>> = wave
+        .iter()
+        .zip(rows)
+        .map(|(wk, rows)| Mutex::new(Some((wk.rng.clone(), rows))))
+        .collect();
+    let outputs = crate::pool::global().run_with_caller(inputs.len(), |stripe| {
+        let (mut rng, rows) = inputs[stripe]
+            .lock()
+            .expect("wave input poisoned")
+            .take()
+            .expect("each stripe runs once");
+        let encoded: Vec<_> = rows
+            .into_iter()
+            .map(|(node, row, count)| {
+                let q = quantize_row(&row, layout, bits, &mut rng);
+                (node, WireRow::Quantized(q), count)
+            })
+            .collect();
+        (rng, encoded)
+    });
+    wave.iter_mut()
+        .zip(outputs)
+        .map(|(wk, (rng, encoded))| {
+            wk.rng = rng;
+            encoded
+        })
+        .collect()
 }
 
 /// Routes every local instance through the partially-built tree to find the
@@ -1010,7 +1064,7 @@ fn train_impl(
                             .saturating_mul(4)
                             .saturating_mul(config.num_threads.max(1))
                             <= config.fused_block_budget);
-                let local_rows: Vec<Vec<(u32, Vec<f32>, u64)>> =
+                let local_rows: Vec<LocalRows> =
                     timer.phase(Phase::BuildHistogram, &mut workers, |wk| {
                         let shard = &shards[wk.shard_id];
                         if use_fused {
@@ -1147,52 +1201,73 @@ fn train_impl(
                 // they push concurrently), not the dense row size.
                 let mut sparse_layer_bytes_max = 0u64;
                 let mut node_counts = vec![0u64; build_nodes.len()];
-                for (wk, rows) in workers.iter_mut().zip(local_rows) {
-                    set_worker(Some(wk.shard_id as u32));
-                    let mut worker_frame_bytes = 0u64;
-                    for (pos, (node, row, count)) in rows.into_iter().enumerate() {
-                        node_counts[pos] += count;
-                        record.hist_bytes_raw += 4 * row.len() as u64;
-                        if config.opts.sparse_wire {
-                            // The worker's stripe id keys the server-side
-                            // block staging (ascending-stripe fold).
-                            let stripe = wk.shard_id as u32;
-                            let stats = if config.opts.low_precision {
-                                let q = quantize_row(
-                                    &row,
-                                    meta.layout(),
-                                    config.compress_bits,
-                                    &mut wk.rng,
-                                );
+                // Under low precision the workers are quantized in waves of
+                // `num_threads`, each wave concurrently, then pushed one
+                // after another in worker order: the push order (ledger,
+                // trace, PS accumulation) is that of a serial loop.
+                let mut local_rows = local_rows.into_iter();
+                for wave in workers.chunks_mut(config.num_threads.max(1)) {
+                    let rows: Vec<_> = local_rows.by_ref().take(wave.len()).collect();
+                    let wire_rows = if config.opts.low_precision {
+                        let start = Instant::now();
+                        let quantized =
+                            quantize_wave(wave, rows, meta.layout(), config.compress_bits);
+                        record.quantize_wall_secs += start.elapsed().as_secs_f64();
+                        quantized
+                    } else {
+                        rows.into_iter()
+                            .map(|worker_rows| {
+                                worker_rows
+                                    .into_iter()
+                                    .map(|(node, row, count)| (node, WireRow::F32(row), count))
+                                    .collect()
+                            })
+                            .collect()
+                    };
+                    for (wk, rows) in wave.iter().zip(wire_rows) {
+                        set_worker(Some(wk.shard_id as u32));
+                        let mut worker_frame_bytes = 0u64;
+                        for (pos, (node, row, count)) in rows.into_iter().enumerate() {
+                            node_counts[pos] += count;
+                            record.hist_bytes_raw += 4 * row_len as u64;
+                            if let WireRow::Quantized(q) = &row {
                                 record.max_quant_scale = record.max_quant_scale.max(q.max_scale());
-                                ps.push_histogram_quantized_sparse(stripe, node, &q)
-                            } else {
-                                ps.push_histogram_sparse(stripe, node, &row)
+                            }
+                            if config.opts.sparse_wire {
+                                // The worker's stripe id keys the server-side
+                                // block staging (ascending-stripe fold).
+                                let stripe = wk.shard_id as u32;
+                                let stats = match &row {
+                                    WireRow::Quantized(q) => {
+                                        ps.push_histogram_quantized_sparse(stripe, node, q)
+                                    }
+                                    WireRow::F32(row) => {
+                                        ps.push_histogram_sparse(stripe, node, row)
+                                    }
+                                };
+                                worker_frame_bytes += stats.total_bytes();
+                                record.hist_bytes_wire += stats.total_bytes();
+                                record
+                                    .sparse_frames
+                                    .get_or_insert_with(Default::default)
+                                    .merge(&stats);
+                                continue;
+                            }
+                            let bytes = match &row {
+                                WireRow::Quantized(q) => {
+                                    ps.push_histogram_quantized(node, q);
+                                    q.wire_bytes()
+                                }
+                                WireRow::F32(row) => {
+                                    ps.push_histogram(node, row);
+                                    4 * row.len()
+                                }
                             };
-                            worker_frame_bytes += stats.total_bytes();
-                            record.hist_bytes_wire += stats.total_bytes();
-                            record
-                                .sparse_frames
-                                .get_or_insert_with(Default::default)
-                                .merge(&stats);
-                        } else if config.opts.low_precision {
-                            let q = quantize_row(
-                                &row,
-                                meta.layout(),
-                                config.compress_bits,
-                                &mut wk.rng,
-                            );
-                            pushed_bytes_per_worker = pushed_bytes_per_worker.max(q.wire_bytes());
-                            record.hist_bytes_wire += q.wire_bytes() as u64;
-                            record.max_quant_scale = record.max_quant_scale.max(q.max_scale());
-                            ps.push_histogram_quantized(node, &q);
-                        } else {
-                            pushed_bytes_per_worker = pushed_bytes_per_worker.max(4 * row.len());
-                            record.hist_bytes_wire += 4 * row.len() as u64;
-                            ps.push_histogram(node, &row);
+                            pushed_bytes_per_worker = pushed_bytes_per_worker.max(bytes);
+                            record.hist_bytes_wire += bytes as u64;
                         }
+                        sparse_layer_bytes_max = sparse_layer_bytes_max.max(worker_frame_bytes);
                     }
-                    sparse_layer_bytes_max = sparse_layer_bytes_max.max(worker_frame_bytes);
                 }
                 set_worker(None);
                 for (pos, &node) in build_nodes.iter().enumerate() {

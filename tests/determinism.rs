@@ -293,4 +293,95 @@ fn multithreaded_training_is_bit_identical_across_reruns() {
             }
         }
     }
+
+    // Five shards with the low-precision wire on: the trainer quantizes
+    // the workers in waves of `num_threads`, so threads 2 and 4 end on a
+    // partial wave and 8 runs a single wave of five. Each worker's RNG
+    // stream must come out exactly as in the serial threads=1 run.
+    {
+        let shards = partition_rows(&ds, 5).unwrap();
+        let reference =
+            train_distributed(&shards, &ragged_wave_config(1), ragged_wave_ps()).unwrap();
+        let reference_bytes = model_to_bytes(&reference.model);
+        for threads in [1, 2, 4, 8] {
+            let run =
+                train_distributed(&shards, &ragged_wave_config(threads), ragged_wave_ps()).unwrap();
+            assert_eq!(
+                model_to_bytes(&run.model),
+                reference_bytes,
+                "5 shards, low precision: threads={threads}"
+            );
+        }
+    }
+}
+
+/// Low precision (8-bit wire) over quantized integer accumulation: the
+/// model bytes are then independent of the thread count.
+fn ragged_wave_config(threads: usize) -> GbdtConfig {
+    let mut config = GbdtConfig {
+        num_trees: 4,
+        max_depth: 3,
+        num_candidates: 8,
+        learning_rate: 0.3,
+        num_threads: threads,
+        batch_size: 64,
+        compress_bits: 8,
+        ..GbdtConfig::default()
+    };
+    config.opts.low_precision = true;
+    config.opts.quantized_hist = true;
+    config
+}
+
+fn ragged_wave_ps() -> PsConfig {
+    PsConfig {
+        num_servers: 2,
+        num_partitions: 0,
+        cost_model: CostModel::GIGABIT_LAN,
+    }
+}
+
+/// A crash and resume at five workers with the 8-bit wire, quantized in
+/// partial waves (threads = 2: waves of 2, 2, 1), finishes bit-identical
+/// to the uninterrupted run: the RNG states written back by each wave are
+/// the ones the checkpoint stores.
+#[test]
+fn quantized_waves_resume_bit_exact_from_a_checkpoint() {
+    use dimboost::core::model_io::model_to_bytes;
+    use dimboost::core::{
+        train_distributed_resilient, CheckpointOptions, FaultPlan, RobustOptions, TrainError,
+    };
+
+    let ds = generate(&SparseGenConfig::new(900, 80, 10, 31));
+    let shards = partition_rows(&ds, 5).unwrap();
+    let config = ragged_wave_config(2);
+    let dir = std::env::temp_dir().join("dimboost_determinism_wave_ckpt");
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let run = |robust: &RobustOptions| {
+        train_distributed_resilient(&shards, &config, ragged_wave_ps(), None, robust)
+    };
+    let reference = run(&RobustOptions::default()).unwrap();
+    let crashing = RobustOptions {
+        fault_plan: Some(FaultPlan::parse("seed 3\ncrash round=2\n").unwrap()),
+        checkpoint: Some(CheckpointOptions::new(&dir)),
+        resume: false,
+    };
+    let err = run(&crashing).unwrap_err();
+    assert!(
+        matches!(err, TrainError::Crashed { round: 2, .. }),
+        "expected the scripted crash at round 2, got {err}"
+    );
+    let resumed = run(&RobustOptions {
+        resume: true,
+        ..crashing
+    })
+    .unwrap();
+    assert_eq!(resumed.report.resumed_from_round, Some(2));
+    assert_eq!(
+        model_to_bytes(&resumed.model),
+        model_to_bytes(&reference.model),
+        "resume diverged from the uninterrupted run"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }

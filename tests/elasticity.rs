@@ -55,7 +55,7 @@ fn run_plan(plan: &str) -> TrainOutput {
     .unwrap()
 }
 
-/// Rounds with the run-to-run wall-clock field cleared: everything left is
+/// Rounds with the run-to-run wall-clock fields cleared: everything left is
 /// a pure function of the merged global histograms (split gains, node
 /// instance counts, histogram bytes) and the model updates, so equality
 /// here means the per-round global histograms were bit-equal too.
@@ -64,6 +64,7 @@ fn strip_wall(rounds: &[RoundRecord]) -> Vec<RoundRecord> {
         .iter()
         .map(|r| RoundRecord {
             compute_secs: 0.0,
+            quantize_wall_secs: 0.0,
             ..r.clone()
         })
         .collect()

@@ -190,6 +190,7 @@ fn checkpoint_resume_is_bit_exact() {
             .iter()
             .map(|r| dimboost::core::RoundRecord {
                 compute_secs: 0.0,
+                quantize_wall_secs: 0.0,
                 ..r.clone()
             })
             .collect::<Vec<_>>()
