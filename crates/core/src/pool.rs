@@ -11,8 +11,9 @@
 //!
 //! Work is described as `stripes` pure functions of a *logical stripe
 //! index* — `f(0), f(1), …, f(stripes - 1)` — never of a physical thread.
-//! Physical worker `p` of a pool of size `P` executes logical stripes
-//! `p, p + P, p + 2P, …` in ascending order, and [`WorkerPool::run`]
+//! The calling thread, which would otherwise sit blocked, executes stripe
+//! 0; physical worker `p` of a pool of size `P` executes logical stripes
+//! `1 + p, 1 + p + P, …` in ascending order, and [`WorkerPool::run`]
 //! returns the results indexed by stripe, so:
 //!
 //! * which stripe computes what is fixed by the stripe index alone;
@@ -31,8 +32,8 @@
 //! A `run` issued from inside a pool worker (nested parallelism) executes
 //! its stripes inline, sequentially, on the calling worker — same results
 //! (stripe functions are pure), no deadlock, no extra threads. The same
-//! holds inside the stripe that [`WorkerPool::run_with_caller`] runs on the
-//! calling thread.
+//! holds inside stripe 0, which the caller runs while the pool is busy
+//! with the job.
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -143,32 +144,14 @@ impl WorkerPool {
     /// determinism rule to hold; under that contract the returned vector is
     /// identical whatever the pool size or OS schedule.
     ///
-    /// `stripes <= 1`, a pool of one, and nested calls from a pool worker
-    /// all run inline on the caller. Panics in a stripe are re-raised on
-    /// the caller after all workers finish the broadcast.
+    /// The calling thread computes stripe 0 itself, so a result that
+    /// outlives the call (the trainer's quantized rows) is partly allocated
+    /// by the caller, in memory it has just freed, rather than all on pool
+    /// threads' heaps. `stripes <= 1`, a pool of one, and nested calls from
+    /// a pool worker or from stripe 0 all run inline on the caller. Panics
+    /// in a stripe are re-raised on the caller after all workers finish
+    /// the broadcast.
     pub fn run<R, F>(&self, stripes: usize, f: F) -> Vec<R>
-    where
-        R: Send,
-        F: Fn(usize) -> R + Sync,
-    {
-        self.run_striped(stripes, f, false)
-    }
-
-    /// [`WorkerPool::run`], except that the calling thread computes stripe
-    /// 0 itself while the pool computes stripes `1..stripes`. Results are
-    /// the same; what changes is where stripe 0 allocates. A result that
-    /// outlives the call (the trainer's quantized rows) is then allocated
-    /// by the caller, in memory the caller has just freed, instead of
-    /// growing a pool thread's heap.
-    pub fn run_with_caller<R, F>(&self, stripes: usize, f: F) -> Vec<R>
-    where
-        R: Send,
-        F: Fn(usize) -> R + Sync,
-    {
-        self.run_striped(stripes, f, true)
-    }
-
-    fn run_striped<R, F>(&self, stripes: usize, f: F, caller_takes_first: bool) -> Vec<R>
     where
         R: Send,
         F: Fn(usize) -> R + Sync,
@@ -192,18 +175,7 @@ impl WorkerPool {
                 }
             }
         };
-        if caller_takes_first {
-            let rest = |stripe: usize| task(stripe + 1);
-            self.broadcast(stripes - 1, &rest, || {
-                // Nested runs from the caller's stripe go inline, as they
-                // do from a pool worker: the pool is busy with this job.
-                IN_POOL_WORKER.with(|w| w.set(true));
-                task(0);
-                IN_POOL_WORKER.with(|w| w.set(false));
-            });
-        } else {
-            self.broadcast(stripes, &task, || {});
-        }
+        self.broadcast(stripes, &task);
         if let Some(payload) = panic.into_inner().expect("panic slot poisoned") {
             resume_unwind(payload);
         }
@@ -217,24 +189,30 @@ impl WorkerPool {
             .collect()
     }
 
-    /// Hands `task` to every worker, runs `on_caller` on the calling
+    /// Hands `task` to every worker, runs its stripe 0 on the calling
     /// thread meanwhile, and blocks until all workers have finished their
-    /// stripes. Neither `task` nor `on_caller` may unwind (callers wrap in
-    /// `catch_unwind`).
-    fn broadcast(&self, stripes: usize, task: &(dyn Fn(usize) + Sync), on_caller: impl FnOnce()) {
+    /// stripes. `task` must not unwind (callers wrap in `catch_unwind`).
+    fn broadcast(&self, stripes: usize, task: &(dyn Fn(usize) + Sync)) {
         let _exclusive = self.broadcast_lock.lock().expect("broadcast lock poisoned");
         // Erase the borrow's lifetime: the pointee outlives this call, and
         // this call outlives every worker's use of it (we wait below).
-        let task: *const (dyn Fn(usize) + Sync) =
+        let erased: *const (dyn Fn(usize) + Sync) =
             unsafe { std::mem::transmute::<&(dyn Fn(usize) + Sync), _>(task) };
         {
             let mut state = self.shared.state.lock().expect("pool state poisoned");
-            state.job = Some(Job { task, stripes });
+            state.job = Some(Job {
+                task: erased,
+                stripes,
+            });
             state.epoch += 1;
             state.remaining = self.size;
             self.shared.work_cv.notify_all();
         }
-        on_caller();
+        // Nested runs from the caller's stripe go inline, as they do from a
+        // pool worker: the pool is busy with this job.
+        IN_POOL_WORKER.with(|w| w.set(true));
+        task(0);
+        IN_POOL_WORKER.with(|w| w.set(false));
         let mut state = self.shared.state.lock().expect("pool state poisoned");
         while state.remaining > 0 {
             state = self
@@ -279,9 +257,9 @@ fn worker_loop(shared: &Shared, index: usize, size: usize) {
             let job = state.job.as_ref().expect("job present for new epoch");
             (job.task, job.stripes)
         };
-        // Physical worker `index` executes logical stripes
-        // index, index + size, … in ascending order.
-        let mut stripe = index;
+        // The caller executes stripe 0; physical worker `index` executes
+        // logical stripes 1 + index, 1 + index + size, … in ascending order.
+        let mut stripe = 1 + index;
         while stripe < stripes {
             // SAFETY: see `Job` — the pointee outlives the broadcast, and
             // `task` never unwinds (wrapped in catch_unwind by `run`).
@@ -353,25 +331,11 @@ mod tests {
     }
 
     #[test]
-    fn caller_stripe_gives_the_same_results() {
-        for size in [1, 2, 3] {
-            let pool = WorkerPool::new(size);
-            for stripes in [0, 1, 2, 5] {
-                assert_eq!(
-                    pool.run_with_caller(stripes, |s| s * 3),
-                    pool.run(stripes, |s| s * 3),
-                    "size {size}, stripes {stripes}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn caller_stripe_runs_on_the_caller_and_nests_inline() {
         let pool = Arc::new(WorkerPool::new(2));
         let inner = Arc::clone(&pool);
         let caller = std::thread::current().id();
-        let out = pool.run_with_caller(3, move |s| {
+        let out = pool.run(3, move |s| {
             (
                 std::thread::current().id() == caller,
                 inner.run(2, |t| s * 10 + t),
@@ -385,21 +349,6 @@ mod tests {
     }
 
     #[test]
-    fn caller_stripe_panic_propagates() {
-        let pool = WorkerPool::new(2);
-        for bad in [0, 1] {
-            let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                pool.run_with_caller(2, |s| {
-                    assert!(s != bad, "stripe {bad} exploded");
-                    s
-                })
-            }));
-            assert!(caught.is_err(), "stripe {bad}");
-        }
-        assert_eq!(pool.run_with_caller(2, |s| s), vec![0, 1]);
-    }
-
-    #[test]
     fn zero_and_single_stripe() {
         let pool = WorkerPool::new(2);
         assert!(pool.run(0, |s| s).is_empty());
@@ -409,13 +358,16 @@ mod tests {
     #[test]
     fn stripe_panic_propagates() {
         let pool = WorkerPool::new(2);
-        let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            pool.run(4, |s| {
-                assert!(s != 2, "stripe 2 exploded");
-                s
-            })
-        }));
-        assert!(caught.is_err());
+        // Stripe 0 runs on the caller, stripe 2 on a pool worker.
+        for bad in [0, 2] {
+            let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                pool.run(4, |s| {
+                    assert!(s != bad, "stripe {bad} exploded");
+                    s
+                })
+            }));
+            assert!(caught.is_err(), "stripe {bad}");
+        }
         // The pool survives a panicked job.
         assert_eq!(pool.run(2, |s| s), vec![0, 1]);
     }

@@ -233,23 +233,21 @@ enum WireRow {
 
 /// Quantizes one wave of workers' `(node, row, instances)` lists
 /// concurrently, one pool stripe per worker. Each stripe draws from its own
-/// worker's RNG (cloned in, written back) in node order, so codes and RNG
-/// states equal those of quantizing the workers one after another. Each f32
-/// row is dropped as soon as it is encoded. The calling thread takes the
-/// first worker itself, so that worker's codes reuse the rows it frees
-/// rather than growing a pool thread's heap (peak memory).
+/// worker's RNG (`rngs[i]`, cloned in, written back) in node order, so codes
+/// and RNG states equal those of quantizing the workers one after another.
+/// Each f32 row is dropped as soon as it is encoded.
 fn quantize_wave(
-    wave: &mut [Worker],
+    rngs: Vec<&mut StdRng>,
     rows: Vec<LocalRows>,
     layout: &HistogramLayout,
     bits: u8,
 ) -> Vec<Vec<(u32, WireRow, u64)>> {
-    let inputs: Vec<Mutex<Option<(StdRng, LocalRows)>>> = wave
+    let inputs: Vec<Mutex<Option<(StdRng, LocalRows)>>> = rngs
         .iter()
         .zip(rows)
-        .map(|(wk, rows)| Mutex::new(Some((wk.rng.clone(), rows))))
+        .map(|(rng, rows)| Mutex::new(Some(((*rng).clone(), rows))))
         .collect();
-    let outputs = crate::pool::global().run_with_caller(inputs.len(), |stripe| {
+    let outputs = crate::pool::global().run(inputs.len(), |stripe| {
         let (mut rng, rows) = inputs[stripe]
             .lock()
             .expect("wave input poisoned")
@@ -264,10 +262,10 @@ fn quantize_wave(
             .collect();
         (rng, encoded)
     });
-    wave.iter_mut()
+    rngs.into_iter()
         .zip(outputs)
-        .map(|(wk, (rng, encoded))| {
-            wk.rng = rng;
+        .map(|(rng, (state, encoded))| {
+            *rng = state;
             encoded
         })
         .collect()
@@ -1210,8 +1208,9 @@ fn train_impl(
                     let rows: Vec<_> = local_rows.by_ref().take(wave.len()).collect();
                     let wire_rows = if config.opts.low_precision {
                         let start = Instant::now();
+                        let rngs = wave.iter_mut().map(|wk| &mut wk.rng).collect();
                         let quantized =
-                            quantize_wave(wave, rows, meta.layout(), config.compress_bits);
+                            quantize_wave(rngs, rows, meta.layout(), config.compress_bits);
                         record.quantize_wall_secs += start.elapsed().as_secs_f64();
                         quantized
                     } else {
@@ -2623,5 +2622,62 @@ mod tests {
         // Curve elapsed times are nondecreasing.
         let times: Vec<f64> = out.loss_curve.iter().map(|pt| pt.elapsed_secs).collect();
         assert!(times.windows(2).all(|w| w[1] >= w[0]));
+    }
+
+    /// The wave stage against a plain serial `quantize_row` loop over the
+    /// same workers, for two successive layers: codes and every worker's
+    /// RNG state written back after each layer must be equal.
+    #[test]
+    fn quantize_wave_matches_the_serial_loop_and_writes_back_rng_states() {
+        let layout = HistogramLayout::with_zero_buckets(vec![5, 3, 6, 1], vec![2, 0, 5, 0]);
+        let row_len = layout.row_len();
+        let workers = 3;
+        let mut rng_wave: Vec<StdRng> = (0..workers)
+            .map(|w| StdRng::seed_from_u64(11 + w as u64))
+            .collect();
+        let mut rng_serial = rng_wave.clone();
+        let mut data = StdRng::seed_from_u64(5);
+        for (layer, nodes) in [(0u32, 1u32), (1, 2)] {
+            let rows: Vec<LocalRows> = (0..workers)
+                .map(|_| {
+                    (0..nodes)
+                        .map(|n| {
+                            let row: Vec<f32> = (0..row_len)
+                                .map(|_| data.random::<f32>() * 4.0 - 2.0)
+                                .collect();
+                            ((1 << layer) - 1 + n, row, 7)
+                        })
+                        .collect()
+                })
+                .collect();
+            let serial: Vec<Vec<QuantizedRow>> = rows
+                .iter()
+                .zip(&mut rng_serial)
+                .map(|(worker_rows, rng)| {
+                    worker_rows
+                        .iter()
+                        .map(|(_, row, _)| quantize_row(row, &layout, 8, rng))
+                        .collect()
+                })
+                .collect();
+            let wave = quantize_wave(rng_wave.iter_mut().collect(), rows.clone(), &layout, 8);
+            for (w, (encoded, expected)) in wave.into_iter().zip(&serial).enumerate() {
+                assert_eq!(encoded.len(), expected.len(), "layer {layer}, worker {w}");
+                for ((node, wire, count), (q, (want_node, _, want_count))) in
+                    encoded.into_iter().zip(expected.iter().zip(&rows[w]))
+                {
+                    assert_eq!((node, count), (*want_node, *want_count));
+                    match wire {
+                        WireRow::Quantized(got) => {
+                            assert_eq!(&got, q, "layer {layer}, worker {w}, node {node}")
+                        }
+                        WireRow::F32(_) => panic!("the wave left a row unquantized"),
+                    }
+                }
+            }
+            for (w, (a, b)) in rng_wave.iter().zip(&rng_serial).enumerate() {
+                assert_eq!(a.state(), b.state(), "layer {layer}, worker {w}: RNG state");
+            }
+        }
     }
 }

@@ -296,8 +296,8 @@ fn multithreaded_training_is_bit_identical_across_reruns() {
 
     // Five shards with the low-precision wire on: the trainer quantizes
     // the workers in waves of `num_threads`, so threads 2 and 4 end on a
-    // partial wave and 8 runs a single wave of five. Each worker's RNG
-    // stream must come out exactly as in the serial threads=1 run.
+    // partial wave and 8 runs a single wave of five. The model bytes must
+    // equal those of threads = 1, where every wave is one worker.
     {
         let shards = partition_rows(&ds, 5).unwrap();
         let reference =
@@ -343,8 +343,11 @@ fn ragged_wave_ps() -> PsConfig {
 
 /// A crash and resume at five workers with the 8-bit wire, quantized in
 /// partial waves (threads = 2: waves of 2, 2, 1), finishes bit-identical
-/// to the uninterrupted run: the RNG states written back by each wave are
-/// the ones the checkpoint stores.
+/// to the uninterrupted run. Both runs go through the wave stage, so this
+/// pins what the checkpoint stores and restores, not that the stage writes
+/// back the serial loop's RNG states: the trainer's unit test
+/// `quantize_wave_matches_the_serial_loop_and_writes_back_rng_states`
+/// checks that.
 #[test]
 fn quantized_waves_resume_bit_exact_from_a_checkpoint() {
     use dimboost::core::model_io::model_to_bytes;
